@@ -7,8 +7,6 @@
 //	drbench -figure5 -bench mgrid,crafty
 //	drbench -figure5 -parallel 0 # fan the benchmark x config matrix across all CPUs
 //	drbench -figure5 -json BENCH_figure5.json
-//	drbench -figure5 -cache-bb 65536 -cache-trace 65536   # bounded caches
-//	drbench -figure5 -ibl-adaptive -ibl-bits 6            # run Figure 5 on the adaptive open-address IBL
 //	drbench -cachesweep          # cache budget ladder: 22 benchmarks x 6 budgets
 //	drbench -cachesweep -json BENCH_cachesweep.json
 //	drbench -iblsweep            # indirect-branch lookup ladder: 22 benchmarks x 6 IBL configs
@@ -27,14 +25,21 @@
 //	drbench -fuzz                # generative differential: 200 seeded programs x 4 configs vs native
 //	drbench -fuzz -fuzz-seeds 1000 -fuzz-ops 60 -parallel 0
 //	drbench -fuzz -fuzz-corpus repros/   # shrink and store repros for any mismatch
-//	drbench -all                 # everything
+//	drbench -all                 # every experiment except -verify
 //	drbench -verify              # transparency matrix: 22 benchmarks x 11 configs
+//
+// Requested experiments run in the order of the experiments table below.
+// With -json PATH, the first experiment that has an artifact writes PATH and
+// each later one writes PATH.<experiment>.json. A failing differential
+// (faultstorm, chaosstorm, fuzz) still writes its artifact, then drbench
+// exits 1 without running the rest.
 //
 // See EXPERIMENTS.md for the paper-versus-measured discussion.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,405 +56,707 @@ import (
 )
 
 func main() {
-	var (
-		table1     = flag.Bool("table1", false, "reproduce Table 1")
-		table2     = flag.Bool("table2", false, "reproduce Table 2")
-		figure5    = flag.Bool("figure5", false, "reproduce Figure 5")
-		cachesweep = flag.Bool("cachesweep", false, "run the cache-budget sweep (benchmarks x budget ladder)")
-		iblsweep   = flag.Bool("iblsweep", false, "run the indirect-branch lookup sweep (benchmarks x IBL configuration ladder)")
-		faultstorm = flag.Bool("faultstorm", false, "run the fault-injection differential (benchmarks x seeded schedules x cache configs)")
-		seedsFlag  = flag.String("seeds", "101,202,303", "comma-separated schedule seeds for -faultstorm")
-		chaosstorm = flag.Bool("chaosstorm", false, "run the internal-fault-injection differential (cases x seeded chaos schedules x cache configs)")
-		chaosSeeds = flag.String("chaos-seeds", "101,202,303", "comma-separated schedule seeds for -chaosstorm")
-		chaosSites = flag.String("chaos-sites", "", "comma-separated chaos site subset for -chaosstorm (empty = every site)")
-		all        = flag.Bool("all", false, "reproduce everything")
-		verify     = flag.Bool("verify", false, "run the transparency matrix: every benchmark under every configuration, checking output equality")
-		bench      = flag.String("bench", "", "comma-separated benchmark subset for -figure5 and -cachesweep")
-		parallel   = flag.Int("parallel", 1, "worker goroutines for the benchmark x config matrices; 0 means one per CPU")
-		jsonPath   = flag.String("json", "", "also write the -figure5 or -cachesweep results as JSON to this path")
-		cacheBB    = flag.Int("cache-bb", 0, "per-thread basic-block cache budget in bytes for -figure5 (0 = unbounded)")
-		cacheTrace = flag.Int("cache-trace", 0, "per-thread trace cache budget in bytes for -figure5 (0 = unbounded)")
-		adaptive   = flag.Bool("adaptive", false, "enable adaptive cache resizing for -figure5 (needs a bounded cache)")
-		iblBits    = flag.Uint("ibl-bits", 0, "initial IBL hashtable size as log2 entries for -figure5 (0 = runtime default)")
-		iblAdapt   = flag.Bool("ibl-adaptive", false, "run -figure5 on the adaptive open-address IBL hashtable instead of the paper's fixed direct-mapped table")
-		noElide    = flag.Bool("no-flags-elision", false, "disable eflags-liveness flag-save elision for -figure5 (meaningful with -ibl-adaptive)")
-		fuzzFlag   = flag.Bool("fuzz", false, "run the generative differential fuzzer: seeded programs, native vs the runtime configuration matrix")
-		fuzzSeeds  = flag.Int("fuzz-seeds", 200, "number of generator seeds for -fuzz")
-		fuzzBase   = flag.Int64("fuzz-seed-base", 1, "first generator seed for -fuzz")
-		fuzzOps    = flag.Int("fuzz-ops", 40, "statement budget per generated program for -fuzz")
-		fuzzCorpus = flag.String("fuzz-corpus", "", "directory to write shrunk repro entries to when -fuzz finds a mismatch")
-		profile    = flag.Bool("profile", false, "run the where-the-cycles-go experiment: per-phase tick accounting + per-fragment profiles")
-		topN       = flag.Int("top", 10, "hottest fragments kept per benchmark for -profile")
-		ring       = flag.Int("ring", 0, "per-thread event-trace ring size for -profile (0 = tracing off)")
-		traceOut   = flag.String("trace-out", "", "write the drained -profile event trace as JSONL to this path (implies -ring 4096 unless set)")
-		telemetry  = flag.Bool("telemetry", false, "run the live-telemetry experiment: histograms + watchdog with all instrumentation on, checked bit-identical to native")
-		traceEvs   = flag.String("trace-events", "", "write the -telemetry span stream as Chrome trace-event JSON to this path (load at ui.perfetto.dev)")
-	)
-	flag.Parse()
-	if !*table1 && !*table2 && !*figure5 && !*cachesweep && !*iblsweep && !*faultstorm && !*chaosstorm && !*fuzzFlag && !*profile && !*telemetry && !*all && !*verify {
-		flag.Usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// config holds the parsed flags the experiments read.
+type config struct {
+	benches  []*workload.Benchmark
+	parallel int
+
+	seeds      string
+	chaosSeeds string
+	chaosSites string
+
+	fuzzSeeds  int
+	fuzzBase   int64
+	fuzzOps    int
+	fuzzCorpus string
+
+	top      int
+	ring     int
+	traceOut string
+
+	traceEvents string
+}
+
+// experiment is one row of the experiments table.
+type experiment struct {
+	name    string // the flag that requests it, and the suffix of its later -json files
+	help    string
+	skipAll bool   // left out of -all
+	schema  string // schema of its -json artifact
+	unit    string // what one artifact row measures
+	run     func(c *config) (outcome, error)
+}
+
+// outcome is what one experiment run produces.
+type outcome struct {
+	text     string    // the report printed to stdout
+	rows     int       // workload results measured; zero fails the run
+	artifact enveloped // the -json body, nil for none
+	failed   bool      // a differential verdict failed: exit 1 once the artifact is written
+}
+
+// experiments lists every experiment in the order drbench runs them.
+var experiments = []experiment{
+	{name: "verify", skipAll: true, run: runVerify,
+		help: "run the transparency matrix: every benchmark under every configuration, checking output equality"},
+	{name: "table1", help: "reproduce Table 1", run: runTable1},
+	{name: "table2", help: "reproduce Table 2", run: runTable2},
+	{name: "figure5", help: "reproduce Figure 5", run: runFigure5,
+		schema: "drbench/figure5/v1", unit: "benchmarks"},
+	{name: "cachesweep", help: "run the cache-budget sweep (benchmarks x budget ladder)", run: runCacheSweep,
+		schema: "drbench/cachesweep/v1", unit: "benchmarks"},
+	{name: "iblsweep", help: "run the indirect-branch lookup sweep (benchmarks x IBL configuration ladder)", run: runIBLSweep,
+		schema: "drbench/iblsweep/v1", unit: "benchmarks"},
+	{name: "faultstorm", help: "run the fault-injection differential (benchmarks x seeded schedules x cache configs)", run: runFaultStorm,
+		schema: "drbench/faultstorm/v1", unit: "benchmarks"},
+	{name: "chaosstorm", help: "run the internal-fault-injection differential (cases x seeded chaos schedules x cache configs)", run: runChaosStorm,
+		schema: "drbench/chaos/v1", unit: "cases"},
+	{name: "fuzz", help: "run the generative differential fuzzer: seeded programs, native vs the runtime configuration matrix", run: runFuzz,
+		schema: "drbench/fuzz/v1", unit: "programs"},
+	{name: "profile", help: "run the where-the-cycles-go experiment: per-phase tick accounting + per-fragment profiles", run: runProfile,
+		schema: "drbench/profile/v1", unit: "benchmarks"},
+	{name: "telemetry", help: "run the live-telemetry experiment: histograms + watchdog with all instrumentation on, checked bit-identical to native", run: runTelemetry,
+		schema: "drbench/telemetry/v1", unit: "benchmarks"},
+}
+
+// run is drbench with its arguments and stdout explicit; it returns the
+// process exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("drbench", flag.ContinueOnError)
+	requested := make([]bool, len(experiments))
+	for i, e := range experiments {
+		fs.BoolVar(&requested[i], e.name, false, e.help)
+	}
+	var c config
+	all := fs.Bool("all", false, "run every experiment except -verify")
+	bench := fs.String("bench", "", "comma-separated benchmark subset for -verify and every matrix experiment (default: the whole suite)")
+	jsonPath := fs.String("json", "", "write each experiment's results as JSON: the first to this path, each later one to PATH.<experiment>.json")
+	fs.IntVar(&c.parallel, "parallel", 1, "worker goroutines for every experiment matrix; 0 means one per CPU")
+	fs.StringVar(&c.seeds, "seeds", "101,202,303", "comma-separated schedule seeds for -faultstorm")
+	fs.StringVar(&c.chaosSeeds, "chaos-seeds", "101,202,303", "comma-separated schedule seeds for -chaosstorm")
+	fs.StringVar(&c.chaosSites, "chaos-sites", "", "comma-separated chaos site subset for -chaosstorm (empty = every site)")
+	fs.IntVar(&c.fuzzSeeds, "fuzz-seeds", 200, "number of generator seeds for -fuzz")
+	fs.Int64Var(&c.fuzzBase, "fuzz-seed-base", 1, "first generator seed for -fuzz")
+	fs.IntVar(&c.fuzzOps, "fuzz-ops", 40, "statement budget per generated program for -fuzz")
+	fs.StringVar(&c.fuzzCorpus, "fuzz-corpus", "", "directory to write shrunk repro entries to when -fuzz finds a mismatch")
+	fs.IntVar(&c.top, "top", 10, "hottest fragments kept per benchmark for -profile")
+	fs.IntVar(&c.ring, "ring", 0, "per-thread event-trace ring size for -profile (0 = tracing off)")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write the drained -profile event trace as JSONL to this path (implies -ring 4096 unless set)")
+	fs.StringVar(&c.traceEvents, "trace-events", "", "write the -telemetry span stream as Chrome trace-event JSON to this path (load at ui.perfetto.dev)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 
-	if *verify {
-		runVerify()
+	var exps []experiment
+	for i, e := range experiments {
+		if requested[i] || (*all && !e.skipAll) {
+			exps = append(exps, e)
+		}
 	}
-
-	if *table1 || *all {
-		fmt.Print(harness.FormatTable1(harness.Table1()))
-		fmt.Println()
+	if len(exps) == 0 {
+		fs.Usage()
+		return 2
 	}
-	if *table2 || *all {
-		fmt.Print(harness.FormatTable2(harness.Table2()))
-		fmt.Println()
-	}
-
 	var names []string
 	if *bench != "" {
 		names = strings.Split(*bench, ",")
 	}
-	benches, err := benchList(names)
-	if err != nil {
+	var err error
+	if c.benches, err = harness.Benchmarks(names); err != nil {
 		fmt.Fprintln(os.Stderr, "drbench:", err)
-		os.Exit(1)
+		return 1
 	}
-
-	figure5JSONWritten := false
-	if *figure5 || *all {
-		// Figure 5 measures the paper's base system (fixed direct-mapped
-		// IBL, no flag-save elision); the -ibl-* flags rerun it on the new
-		// indirect-branch fast path.
-		opts := harness.Figure5Options()
-		opts.BBCacheSize = *cacheBB
-		opts.TraceCacheSize = *cacheTrace
-		opts.AdaptiveCache = *adaptive
-		if *iblBits != 0 {
-			opts.IBLTableBits = *iblBits
-		}
-		if *iblAdapt {
-			opts.IBLDirectMapped = false
-			opts.IBLAdaptive = true
-			opts.FlagsElision = !*noElide
-		}
-		start := time.Now()
-		rows, err := harness.RunMatrix(*parallel, benches, opts)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("figure5", len(rows))
-		fmt.Print(harness.FormatFigure5(rows))
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			figure5JSONWritten = true
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", *jsonPath, len(rows), elapsed.Seconds())
-		}
-	}
-
-	cachesweepJSONWritten := false
-	if *cachesweep || *all {
-		points := harness.DefaultSweep()
-		start := time.Now()
-		rows, err := harness.CacheSweep(*parallel, benches, points)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("cachesweep", len(rows))
-		fmt.Print(harness.FormatCacheSweep(points, rows))
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten {
-				path += ".cachesweep.json" // both matrices requested: keep both files
-			}
-			if err := writeSweepJSON(path, points, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			cachesweepJSONWritten = true
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
-	}
-
-	iblsweepJSONWritten := false
-	if *iblsweep || *all {
-		points := harness.DefaultIBLSweep()
-		start := time.Now()
-		rows, err := harness.IBLSweep(*parallel, benches, points)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("iblsweep", len(rows))
-		fmt.Print(harness.FormatIBLSweep(points, rows))
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten {
-				path += ".iblsweep.json" // several matrices requested: keep all files
-			}
-			if err := writeIBLSweepJSON(path, points, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			iblsweepJSONWritten = true
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
-	}
-
-	faultstormJSONWritten := false
-	if *faultstorm || *all {
-		seeds, err := parseSeeds(*seedsFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		configs := harness.DefaultStormConfigs()
-		start := time.Now()
-		rows, err := harness.FaultStorm(*parallel, benches, seeds, configs)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("faultstorm", len(rows))
-		fmt.Print(harness.FormatFaultStorm(seeds, configs, rows))
-		failed := false
-		for _, r := range rows {
-			if !r.Passed() {
-				failed = true
-			}
-		}
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten || iblsweepJSONWritten {
-				path += ".faultstorm.json" // several matrices requested: keep all files
-			}
-			if err := writeStormJSON(path, seeds, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			faultstormJSONWritten = true
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
-		if failed {
-			os.Exit(1)
-		}
-	}
-
-	if *chaosstorm || *all {
-		seeds, err := parseSeeds(*chaosSeeds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		sites, err := parseSites(*chaosSites)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		configs := harness.DefaultChaosConfigs()
-		start := time.Now()
-		rows, err := harness.ChaosStorm(*parallel, benches, seeds, sites, configs)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("chaosstorm", len(rows))
-		fmt.Print(harness.FormatChaosStorm(seeds, configs, rows))
-		failed := false
-		for _, r := range rows {
-			if !r.Passed() {
-				failed = true
-			}
-		}
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten || iblsweepJSONWritten || faultstormJSONWritten {
-				path += ".chaosstorm.json" // several matrices requested: keep all files
-			}
-			if err := writeChaosJSON(path, seeds, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d cases, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
-		if failed {
-			os.Exit(1)
-		}
-	}
-
-	if *fuzzFlag || *all {
-		if *fuzzSeeds <= 0 {
-			fmt.Fprintln(os.Stderr, "drbench: -fuzz-seeds must be positive")
-			os.Exit(1)
-		}
-		seeds := make([]int64, *fuzzSeeds)
-		for i := range seeds {
-			seeds[i] = *fuzzBase + int64(i)
-		}
-		start := time.Now()
-		reports, err := fuzz.Campaign(*parallel, seeds, *fuzzOps, nil)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("fuzz", len(reports))
-		var failing []*fuzz.Report
-		stmts, faults := 0, 0
-		for _, r := range reports {
-			stmts += r.Stmts
-			if r.Fault {
-				faults++
-			}
-			if !r.Passed() {
-				failing = append(failing, r)
-			}
-		}
-		configs := fuzz.Configs()
-		fmt.Printf("fuzz: %d programs (seeds %d..%d, %d stmts, %d with fault sites) x %d configs: %d mismatching (%.2fs wall clock)\n",
-			len(reports), *fuzzBase, *fuzzBase+int64(*fuzzSeeds)-1, stmts, faults, len(configs), len(failing), elapsed.Seconds())
-		for _, r := range failing {
-			mm, _ := r.FirstMismatch()
-			fmt.Printf("  seed %d under %s: %s\n", r.Seed, mm.Config, mm.Mismatch)
-		}
-		if len(failing) > 0 && *fuzzCorpus != "" {
-			for _, r := range failing {
-				p := fuzz.Generate(r.Seed, *fuzzOps)
-				stillFails := func(q *fuzz.Prog) bool {
-					rep, err := fuzz.Check(q, nil)
-					return err == nil && !rep.Passed()
-				}
-				shrunk := fuzz.Shrink(p, stillFails, 0)
-				mm, _ := r.FirstMismatch()
-				e := &fuzz.Entry{
-					Name:     fmt.Sprintf("fuzz-seed%d", r.Seed),
-					Note:     fmt.Sprintf("shrunk from %d statements by drbench -fuzz", p.NumStmts()),
-					Config:   mm.Config,
-					Mismatch: mm.Mismatch,
-					Prog:     *shrunk,
-				}
-				if err := fuzz.WriteEntry(*fuzzCorpus, e); err != nil {
-					fmt.Fprintln(os.Stderr, "drbench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("  wrote %s/%s.json (%d statements)\n", *fuzzCorpus, e.Name, shrunk.NumStmts())
-			}
-		}
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten || iblsweepJSONWritten {
-				path += ".fuzz.json" // several matrices requested: keep all files
-			}
-			if err := writeFuzzJSON(path, *fuzzBase, *fuzzOps, reports, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d programs, %.2fs wall clock)\n", path, len(reports), elapsed.Seconds())
-		}
-		if len(failing) > 0 {
-			os.Exit(1)
-		}
-	}
-
-	profileJSONWritten := false
-	if *profile || *all {
-		ringSize := *ring
-		if *traceOut != "" && ringSize == 0 {
-			ringSize = 4096
-		}
-		start := time.Now()
-		rows, err := harness.Profile(*parallel, *topN, ringSize, benches)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("profile", len(rows))
-		fmt.Print(harness.FormatProfile(rows))
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten || iblsweepJSONWritten {
-				path += ".profile.json" // several matrices requested: keep all files
-			}
-			if err := writeProfileJSON(path, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			profileJSONWritten = true
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
-		if *traceOut != "" {
-			if err := writeTraceJSONL(*traceOut, rows); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			n, dropped := 0, uint64(0)
-			for _, r := range rows {
-				n += len(r.Events)
-				dropped += r.EventsDropped
-			}
-			fmt.Printf("wrote %s (%d events, %d dropped by the rings)\n", *traceOut, n, dropped)
-		}
-	}
-
-	if *telemetry || *all {
-		var traceW io.Writer
-		var traceFile *os.File
-		if *traceEvs != "" {
-			f, err := os.Create(*traceEvs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			traceFile = f
-			traceW = f
-		}
-		start := time.Now()
-		rows, err := harness.Telemetry(*parallel, benches, traceW)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("telemetry", len(rows))
-		fmt.Print(harness.FormatTelemetry(rows))
-		if traceFile != nil {
-			if err := traceFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (Chrome trace-event JSON; load at ui.perfetto.dev)\n", *traceEvs)
-		}
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten || iblsweepJSONWritten || faultstormJSONWritten || profileJSONWritten {
-				path += ".telemetry.json" // several matrices requested: keep all files
-			}
-			if err := writeTelemetryJSON(path, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
-	}
+	return execute(exps, &c, *jsonPath, stdout)
 }
 
-// requireResults enforces that a requested experiment measured something:
-// an empty result set means the run silently did no work, which must fail
-// loudly rather than produce an empty artifact.
-func requireResults(experiment string, n int) {
-	if n == 0 {
-		fmt.Fprintf(os.Stderr, "drbench: %s produced zero workload results\n", experiment)
-		os.Exit(1)
+// execute runs exps in order, printing each report and writing each
+// artifact: the first to jsonPath, each later one to
+// jsonPath.<experiment>.json. It stops with exit code 1 at the first error,
+// empty result set or failed verdict — the failed experiment's artifact is
+// written first.
+func execute(exps []experiment, c *config, jsonPath string, stdout io.Writer) int {
+	written := 0
+	for _, e := range exps {
+		start := time.Now()
+		out, err := e.run(c)
+		elapsed := time.Since(start)
+		if err == nil && out.rows == 0 {
+			// The run silently did no work: fail loudly rather than
+			// produce an empty artifact.
+			err = fmt.Errorf("%s produced zero workload results", e.name)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "drbench:", err)
+			return 1
+		}
+		io.WriteString(stdout, out.text)
+		if out.artifact != nil && jsonPath != "" {
+			path := jsonPath
+			if written > 0 {
+				path += "." + e.name + ".json"
+			}
+			*out.artifact.envelope() = artifact{Schema: e.schema, Workers: c.parallel, WallClockSeconds: elapsed.Seconds()}
+			if err := writeArtifact(path, out.artifact); err != nil {
+				fmt.Fprintln(os.Stderr, "drbench:", err)
+				return 1
+			}
+			written++
+			fmt.Fprintf(stdout, "wrote %s (%d %s, %.2fs wall clock)\n", path, out.rows, e.unit, elapsed.Seconds())
+		}
+		if out.failed {
+			return 1
+		}
 	}
+	return 0
+}
+
+// artifact is the envelope every -json file starts with. encoding/json
+// emits an embedded struct's fields at its position, so each artifact body
+// embeds it first.
+type artifact struct {
+	Schema           string  `json:"schema"`
+	Workers          int     `json:"workers"`
+	WallClockSeconds float64 `json:"wall_clock_seconds"`
+}
+
+func (a *artifact) envelope() *artifact { return a }
+
+// enveloped is an artifact body: a struct embedding artifact.
+type enveloped interface{ envelope() *artifact }
+
+func writeArtifact(path string, a enveloped) error {
+	data, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// runVerify is the transparency matrix: every benchmark under the five
+// Table 1 configurations and the six Figure 5 client configurations, each
+// run's output checked against native. Completing the matrix is the proof.
+func runVerify(c *config) (outcome, error) {
+	ladder := core.TableOneLadder()
+	nc := len(ladder) + int(harness.NumOptConfigs)
+	_, err := harness.Matrix(c.parallel, len(c.benches)*nc, func(k int) (*harness.ConfigResult, error) {
+		b, i := c.benches[k/nc], k%nc
+		if i < len(ladder) {
+			return harness.RunConfigErr(b, ladder[i])
+		}
+		return harness.RunConfigErr(b, core.Default(), harness.ClientsFor(harness.OptConfig(i-len(ladder)))...)
+	})
+	if err != nil {
+		return outcome{}, err
+	}
+	var b strings.Builder
+	for _, bench := range c.benches {
+		fmt.Fprintf(&b, "%-10s%s ok\n", bench.Name, strings.Repeat(" .", nc))
+	}
+	fmt.Fprintf(&b, "transparency verified: %d benchmark x configuration runs, all outputs identical to native\n", len(c.benches)*nc)
+	return outcome{text: b.String(), rows: len(c.benches)}, nil
+}
+
+func runTable1(*config) (outcome, error) {
+	rows := harness.Table1()
+	return outcome{text: harness.FormatTable1(rows) + "\n", rows: len(rows)}, nil
+}
+
+func runTable2(*config) (outcome, error) {
+	rows := harness.Table2()
+	return outcome{text: harness.FormatTable2(rows) + "\n", rows: len(rows)}, nil
+}
+
+// figure5JSON is the file layout of -figure5 -json: the Figure 5 series
+// plus the simulated cycle totals behind them. Figure 5 measures the
+// paper's base system, harness.Figure5Options.
+type figure5JSON struct {
+	artifact
+	TotalSimulatedCycle uint64    `json:"total_simulated_cycles"`
+	Configs             []string  `json:"configs"`
+	Rows                []rowJSON `json:"rows"`
+	Means               meansJSON `json:"means"`
+}
+
+type rowJSON struct {
+	Benchmark  string    `json:"benchmark"`
+	Class      string    `json:"class"`
+	Normalized []float64 `json:"normalized"`
+	Cycles     []uint64  `json:"cycles"`
+}
+
+type meansJSON struct {
+	FP  []float64 `json:"fp"`
+	Int []float64 `json:"int"`
+	All []float64 `json:"all"`
+}
+
+func runFigure5(c *config) (outcome, error) {
+	rows, err := harness.RunMatrix(c.parallel, c.benches, harness.Figure5Options())
+	if err != nil {
+		return outcome{}, err
+	}
+	art := &figure5JSON{}
+	for cfg := harness.ConfigBase; cfg < harness.NumOptConfigs; cfg++ {
+		art.Configs = append(art.Configs, cfg.String())
+	}
+	for _, r := range rows {
+		row := rowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
+		for cfg := harness.ConfigBase; cfg < harness.NumOptConfigs; cfg++ {
+			row.Normalized = append(row.Normalized, r.Normalized[cfg])
+			cycles := r.Ticks[cfg].Cycles()
+			row.Cycles = append(row.Cycles, cycles)
+			art.TotalSimulatedCycle += cycles
+		}
+		art.Rows = append(art.Rows, row)
+	}
+	m := harness.Means(rows)
+	for cfg := harness.ConfigBase; cfg < harness.NumOptConfigs; cfg++ {
+		art.Means.FP = append(art.Means.FP, m.FP[cfg])
+		art.Means.Int = append(art.Means.Int, m.Int[cfg])
+		art.Means.All = append(art.Means.All, m.All[cfg])
+	}
+	return outcome{text: harness.FormatFigure5(rows), rows: len(rows), artifact: art}, nil
+}
+
+// cachesweepJSON is the file layout of -cachesweep -json: per (benchmark,
+// budget) normalized time plus the cache-management counters that explain
+// it.
+type cachesweepJSON struct {
+	artifact
+	Points []pointJSON    `json:"points"`
+	Rows   []cacheRowJSON `json:"rows"`
+	Means  []float64      `json:"means"`
+}
+
+type pointJSON struct {
+	Name     string `json:"name"`
+	Bytes    int    `json:"bytes"`
+	Adaptive bool   `json:"adaptive"`
+}
+
+type cacheRowJSON struct {
+	Benchmark     string    `json:"benchmark"`
+	Class         string    `json:"class"`
+	Normalized    []float64 `json:"normalized"`
+	Cycles        []uint64  `json:"cycles"`
+	Evictions     []uint64  `json:"evictions"`
+	Regenerations []uint64  `json:"regenerations"`
+	CacheResizes  []uint64  `json:"cache_resizes"`
+	BBLiveBytes   []uint64  `json:"bb_live_bytes"`
+	TrLiveBytes   []uint64  `json:"trace_live_bytes"`
+}
+
+func runCacheSweep(c *config) (outcome, error) {
+	points := harness.DefaultSweep()
+	rows, err := harness.CacheSweep(c.parallel, c.benches, points)
+	if err != nil {
+		return outcome{}, err
+	}
+	art := &cachesweepJSON{Means: harness.CacheSweepMeans(points, rows)}
+	for _, p := range points {
+		art.Points = append(art.Points, pointJSON{Name: p.Name, Bytes: p.Bytes, Adaptive: p.Adaptive})
+	}
+	for _, r := range rows {
+		row := cacheRowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
+		for _, cell := range r.Cells {
+			row.Normalized = append(row.Normalized, cell.Normalized)
+			row.Cycles = append(row.Cycles, cell.Ticks.Cycles())
+			row.Evictions = append(row.Evictions, cell.Stats.Evictions)
+			row.Regenerations = append(row.Regenerations, cell.Stats.Regenerations)
+			row.CacheResizes = append(row.CacheResizes, cell.Stats.CacheResizes)
+			row.BBLiveBytes = append(row.BBLiveBytes, cell.Stats.BBCacheLiveBytes)
+			row.TrLiveBytes = append(row.TrLiveBytes, cell.Stats.TraceCacheLiveBytes)
+		}
+		art.Rows = append(art.Rows, row)
+	}
+	return outcome{text: harness.FormatCacheSweep(points, rows), rows: len(rows), artifact: art}, nil
+}
+
+// iblsweepJSON is the file layout of -iblsweep -json: per (benchmark, IBL
+// configuration) the Figure-5-style normalized overhead plus the dispatcher
+// context switches an IBL hit avoids and the hashtable behaviour counters
+// (misses, probe chains, growth, displacement, elisions) that explain it.
+type iblsweepJSON struct {
+	artifact
+	Points []iblPointJSON `json:"points"`
+	Rows   []iblRowJSON   `json:"rows"`
+	Means  []float64      `json:"means"`
+}
+
+type iblPointJSON struct {
+	Name         string `json:"name"`
+	Bits         uint   `json:"bits"`
+	DirectMapped bool   `json:"direct_mapped"`
+	Adaptive     bool   `json:"adaptive"`
+	FlagsElision bool   `json:"flags_elision"`
+}
+
+type iblRowJSON struct {
+	Benchmark          string    `json:"benchmark"`
+	Class              string    `json:"class"`
+	Normalized         []float64 `json:"normalized"`
+	Cycles             []uint64  `json:"cycles"`
+	ContextSwitches    []uint64  `json:"context_switches"`
+	IBLMisses          []uint64  `json:"ibl_misses"`
+	IBLCollisions      []uint64  `json:"ibl_collisions"`
+	IBLMaxProbe        []uint64  `json:"ibl_max_probe"`
+	IBLResizes         []uint64  `json:"ibl_resizes"`
+	IBLReplaced        []uint64  `json:"ibl_replaced"`
+	FlagsElisions      []uint64  `json:"flags_elisions"`
+	InlineChecksElided []uint64  `json:"inline_checks_elided"`
+}
+
+func runIBLSweep(c *config) (outcome, error) {
+	points := harness.DefaultIBLSweep()
+	rows, err := harness.IBLSweep(c.parallel, c.benches, points)
+	if err != nil {
+		return outcome{}, err
+	}
+	art := &iblsweepJSON{Means: harness.IBLSweepMeans(points, rows)}
+	for _, p := range points {
+		art.Points = append(art.Points, iblPointJSON{
+			Name: p.Name, Bits: p.Bits, DirectMapped: p.DirectMapped,
+			Adaptive: p.Adaptive, FlagsElision: p.FlagsElision,
+		})
+	}
+	for _, r := range rows {
+		row := iblRowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
+		for _, cell := range r.Cells {
+			s := cell.Stats
+			row.Normalized = append(row.Normalized, cell.Normalized)
+			row.Cycles = append(row.Cycles, cell.Ticks.Cycles())
+			row.ContextSwitches = append(row.ContextSwitches, s.ContextSwitches)
+			row.IBLMisses = append(row.IBLMisses, s.IBLMisses)
+			row.IBLCollisions = append(row.IBLCollisions, s.IBLCollisions)
+			row.IBLMaxProbe = append(row.IBLMaxProbe, s.IBLMaxProbe)
+			row.IBLResizes = append(row.IBLResizes, s.IBLResizes)
+			row.IBLReplaced = append(row.IBLReplaced, s.IBLReplaced)
+			row.FlagsElisions = append(row.FlagsElisions, s.FlagsElisions)
+			row.InlineChecksElided = append(row.InlineChecksElided, s.InlineChecksElided)
+		}
+		art.Rows = append(art.Rows, row)
+	}
+	return outcome{text: harness.FormatIBLSweep(points, rows), rows: len(rows), artifact: art}, nil
+}
+
+// faultstormJSON is the file layout of -faultstorm -json: per (benchmark,
+// seed) the injected plans, the native delivered-fault sequence, and each
+// runtime configuration's match verdict with the counters that prove the
+// translation and eviction paths ran.
+type faultstormJSON struct {
+	artifact
+	Seeds  []int64            `json:"seeds"`
+	Rows   []harness.StormRow `json:"rows"`
+	Passed int                `json:"passed"`
+}
+
+func runFaultStorm(c *config) (outcome, error) {
+	seeds, err := parseSeeds(c.seeds)
+	if err != nil {
+		return outcome{}, err
+	}
+	configs := harness.DefaultStormConfigs()
+	rows, err := harness.FaultStorm(c.parallel, c.benches, seeds, configs)
+	if err != nil {
+		return outcome{}, err
+	}
+	art := &faultstormJSON{Seeds: seeds, Rows: rows}
+	for _, r := range rows {
+		if r.Passed() {
+			art.Passed++
+		}
+	}
+	return outcome{text: harness.FormatFaultStorm(seeds, configs, rows), rows: len(rows),
+		artifact: art, failed: art.Passed < len(rows)}, nil
+}
+
+// chaosJSON is the file layout of -chaosstorm -json: per (case, chaos
+// schedule) the trigger recipe, the riding machine-fault plans, and each
+// runtime configuration's match verdict with the recovery-ladder counters
+// (fires, recoveries, audit failures, degrade level, re-attaches), plus the
+// suite-wide per-site fire totals CI checks for coverage.
+type chaosJSON struct {
+	artifact
+	Seeds      []int64            `json:"seeds"`
+	SiteFires  map[string]uint64  `json:"site_fires"`
+	Reattaches uint64             `json:"reattaches"`
+	Rows       []harness.ChaosRow `json:"rows"`
+	Passed     int                `json:"passed"`
+}
+
+func runChaosStorm(c *config) (outcome, error) {
+	seeds, err := parseSeeds(c.chaosSeeds)
+	if err != nil {
+		return outcome{}, err
+	}
+	sites, err := parseSites(c.chaosSites)
+	if err != nil {
+		return outcome{}, err
+	}
+	configs := harness.DefaultChaosConfigs()
+	rows, err := harness.ChaosStorm(c.parallel, c.benches, seeds, sites, configs)
+	if err != nil {
+		return outcome{}, err
+	}
+	art := &chaosJSON{
+		Seeds:      seeds,
+		SiteFires:  harness.ChaosSiteTotals(rows),
+		Reattaches: harness.ChaosReattachTotal(rows),
+		Rows:       rows,
+	}
+	for _, r := range rows {
+		if r.Passed() {
+			art.Passed++
+		}
+	}
+	return outcome{text: harness.FormatChaosStorm(seeds, configs, rows), rows: len(rows),
+		artifact: art, failed: art.Passed < len(rows)}, nil
+}
+
+// fuzzJSON is the file layout of -fuzz -json: one row per generated program
+// with its per-configuration verdicts, so CI can archive exactly which seeds
+// ran and which diverged.
+type fuzzJSON struct {
+	artifact
+	SeedBase    int64          `json:"seed_base"`
+	MaxOps      int            `json:"max_ops"`
+	Configs     []string       `json:"configs"`
+	Programs    int            `json:"programs"`
+	Mismatching int            `json:"mismatching"`
+	Reports     []*fuzz.Report `json:"reports"`
+}
+
+func runFuzz(c *config) (outcome, error) {
+	if c.fuzzSeeds <= 0 {
+		return outcome{}, errors.New("-fuzz-seeds must be positive")
+	}
+	seeds := make([]int64, c.fuzzSeeds)
+	for i := range seeds {
+		seeds[i] = c.fuzzBase + int64(i)
+	}
+	start := time.Now()
+	reports, err := fuzz.Campaign(c.parallel, seeds, c.fuzzOps, nil)
+	elapsed := time.Since(start)
+	if err != nil {
+		return outcome{}, err
+	}
+	art := &fuzzJSON{SeedBase: c.fuzzBase, MaxOps: c.fuzzOps, Programs: len(reports), Reports: reports}
+	for _, cfg := range fuzz.Configs() {
+		art.Configs = append(art.Configs, cfg.Name)
+	}
+	var failing []*fuzz.Report
+	stmts, faults := 0, 0
+	for _, r := range reports {
+		stmts += r.Stmts
+		if r.Fault {
+			faults++
+		}
+		if !r.Passed() {
+			failing = append(failing, r)
+		}
+	}
+	art.Mismatching = len(failing)
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "fuzz: %d programs (seeds %d..%d, %d stmts, %d with fault sites) x %d configs: %d mismatching (%.2fs wall clock)\n",
+		len(reports), c.fuzzBase, c.fuzzBase+int64(c.fuzzSeeds)-1, stmts, faults, len(art.Configs), len(failing), elapsed.Seconds())
+	for _, r := range failing {
+		mm, _ := r.FirstMismatch()
+		fmt.Fprintf(&b, "  seed %d under %s: %s\n", r.Seed, mm.Config, mm.Mismatch)
+	}
+	if c.fuzzCorpus != "" {
+		for _, r := range failing {
+			if err := writeRepro(&b, c.fuzzCorpus, c.fuzzOps, r); err != nil {
+				return outcome{}, err
+			}
+		}
+	}
+	return outcome{text: b.String(), rows: len(reports), artifact: art, failed: len(failing) > 0}, nil
+}
+
+// writeRepro shrinks a failing program to a minimal one that still fails
+// and stores it in the corpus directory.
+func writeRepro(w io.Writer, dir string, maxOps int, r *fuzz.Report) error {
+	p := fuzz.Generate(r.Seed, maxOps)
+	stillFails := func(q *fuzz.Prog) bool {
+		rep, err := fuzz.Check(q, nil)
+		return err == nil && !rep.Passed()
+	}
+	shrunk := fuzz.Shrink(p, stillFails, 0)
+	mm, _ := r.FirstMismatch()
+	e := &fuzz.Entry{
+		Name:     fmt.Sprintf("fuzz-seed%d", r.Seed),
+		Note:     fmt.Sprintf("shrunk from %d statements by drbench -fuzz", p.NumStmts()),
+		Config:   mm.Config,
+		Mismatch: mm.Mismatch,
+		Prog:     *shrunk,
+	}
+	if err := fuzz.WriteEntry(dir, e); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  wrote %s/%s.json (%d statements)\n", dir, e.Name, shrunk.NumStmts())
+	return nil
+}
+
+// profileJSON is the file layout of -profile -json: per benchmark the
+// per-phase tick breakdown (phase_ticks sums exactly to ticks — the
+// conservation invariant CI asserts), the hottest fragments, and the cache
+// counters behind them.
+type profileJSON struct {
+	artifact
+	Phases []string         `json:"phases"`
+	Rows   []profileRowJSON `json:"rows"`
+}
+
+type profileRowJSON struct {
+	Benchmark  string            `json:"benchmark"`
+	Class      string            `json:"class"`
+	Ticks      uint64            `json:"ticks"`
+	Normalized float64           `json:"normalized"`
+	PhaseTicks map[string]uint64 `json:"phase_ticks"`
+
+	Fragments int                   `json:"fragments"`
+	Top       []obs.FragmentProfile `json:"top"`
+
+	BlocksBuilt uint64 `json:"blocks_built"`
+	TracesBuilt uint64 `json:"traces_built"`
+	Evictions   uint64 `json:"evictions"`
+	IBLMisses   uint64 `json:"ibl_misses"`
+
+	Events        int    `json:"events,omitempty"`
+	EventsDropped uint64 `json:"events_dropped,omitempty"`
+}
+
+func runProfile(c *config) (outcome, error) {
+	ring := c.ring
+	if c.traceOut != "" && ring == 0 {
+		ring = 4096
+	}
+	rows, err := harness.Profile(c.parallel, c.top, ring, c.benches)
+	if err != nil {
+		return outcome{}, err
+	}
+	text := harness.FormatProfile(rows)
+	if c.traceOut != "" {
+		if err := writeTraceJSONL(c.traceOut, rows); err != nil {
+			return outcome{}, err
+		}
+		n, dropped := 0, uint64(0)
+		for _, r := range rows {
+			n += len(r.Events)
+			dropped += r.EventsDropped
+		}
+		text += fmt.Sprintf("wrote %s (%d events, %d dropped by the rings)\n", c.traceOut, n, dropped)
+	}
+	art := &profileJSON{Phases: obs.PhaseNames()}
+	for _, r := range rows {
+		art.Rows = append(art.Rows, profileRowJSON{
+			Benchmark:     r.Benchmark,
+			Class:         r.Class.String(),
+			Ticks:         uint64(r.Ticks),
+			Normalized:    r.Normalized,
+			PhaseTicks:    r.Phases.Map(),
+			Fragments:     r.Fragments,
+			Top:           r.Top,
+			BlocksBuilt:   r.Stats.BlocksBuilt,
+			TracesBuilt:   r.Stats.TracesBuilt,
+			Evictions:     r.Stats.Evictions,
+			IBLMisses:     r.Stats.IBLMisses,
+			Events:        len(r.Events),
+			EventsDropped: r.EventsDropped,
+		})
+	}
+	return outcome{text: text, rows: len(rows), artifact: art}, nil
+}
+
+// writeTraceJSONL writes every benchmark's drained event trace as JSON
+// lines, each labeled with its benchmark name.
+func writeTraceJSONL(path string, rows []harness.ProfileRow) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if err := obs.WriteJSONL(f, r.Benchmark, r.Events); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
+}
+
+// telemetryJSON is the file layout of -telemetry -json: per benchmark the
+// distribution-metric digests, any watchdog detections (zero on a healthy
+// suite — CI asserts this), and the runtime counters behind them. Every row
+// in this file has already passed the bit-identity check against native.
+type telemetryJSON struct {
+	artifact
+	Metrics   []string           `json:"metrics"`
+	Anomalies uint64             `json:"anomalies"`
+	Rows      []telemetryRowJSON `json:"rows"`
+}
+
+type telemetryRowJSON struct {
+	Benchmark  string  `json:"benchmark"`
+	Class      string  `json:"class"`
+	Ticks      uint64  `json:"ticks"`
+	Normalized float64 `json:"normalized"`
+
+	Histograms []obs.HistogramSummary `json:"histograms"`
+	Anomalies  []obs.Anomaly          `json:"anomalies,omitempty"`
+
+	BlocksBuilt uint64 `json:"blocks_built"`
+	TracesBuilt uint64 `json:"traces_built"`
+	Evictions   uint64 `json:"evictions"`
+	IBLMisses   uint64 `json:"ibl_misses"`
+	Recoveries  uint64 `json:"recoveries"`
+}
+
+func runTelemetry(c *config) (outcome, error) {
+	var traceW io.Writer
+	var traceFile *os.File
+	if c.traceEvents != "" {
+		f, err := os.Create(c.traceEvents)
+		if err != nil {
+			return outcome{}, err
+		}
+		traceFile, traceW = f, f
+	}
+	rows, err := harness.Telemetry(c.parallel, c.benches, traceW)
+	if traceFile != nil {
+		err = errors.Join(err, traceFile.Close())
+	}
+	if err != nil {
+		return outcome{}, err
+	}
+	text := harness.FormatTelemetry(rows)
+	if traceFile != nil {
+		text += fmt.Sprintf("wrote %s (Chrome trace-event JSON; load at ui.perfetto.dev)\n", c.traceEvents)
+	}
+	art := &telemetryJSON{Metrics: obs.MetricNames()}
+	for _, r := range rows {
+		art.Anomalies += uint64(len(r.Anomalies))
+		art.Rows = append(art.Rows, telemetryRowJSON{
+			Benchmark:   r.Benchmark,
+			Class:       r.Class.String(),
+			Ticks:       uint64(r.Ticks),
+			Normalized:  r.Normalized,
+			Histograms:  r.Histograms,
+			Anomalies:   r.Anomalies,
+			BlocksBuilt: r.Stats.BlocksBuilt,
+			TracesBuilt: r.Stats.TracesBuilt,
+			Evictions:   r.Stats.Evictions,
+			IBLMisses:   r.Stats.IBLMisses,
+			Recoveries:  r.Stats.Recoveries,
+		})
+	}
+	return outcome{text: text, rows: len(rows), artifact: art}, nil
 }
 
 func parseSeeds(s string) ([]int64, error) {
@@ -479,481 +786,4 @@ func parseSites(s string) ([]chaos.Site, error) {
 		sites = append(sites, site)
 	}
 	return sites, nil
-}
-
-func benchList(names []string) ([]*workload.Benchmark, error) {
-	if len(names) == 0 {
-		return workload.All(), nil
-	}
-	benches := make([]*workload.Benchmark, 0, len(names))
-	for _, n := range names {
-		b := workload.ByName(n)
-		if b == nil {
-			return nil, fmt.Errorf("unknown benchmark %s", n)
-		}
-		benches = append(benches, b)
-	}
-	return benches, nil
-}
-
-// benchJSON is the file layout of -figure5 -json: the Figure 5 series plus
-// enough run metadata (worker count, wall clock, simulated cycle totals) to
-// track harness performance across revisions.
-type benchJSON struct {
-	Schema              string    `json:"schema"`
-	Workers             int       `json:"workers"`
-	WallClockSeconds    float64   `json:"wall_clock_seconds"`
-	TotalSimulatedCycle uint64    `json:"total_simulated_cycles"`
-	Configs             []string  `json:"configs"`
-	Rows                []rowJSON `json:"rows"`
-	Means               meansJSON `json:"means"`
-}
-
-type rowJSON struct {
-	Benchmark  string    `json:"benchmark"`
-	Class      string    `json:"class"`
-	Normalized []float64 `json:"normalized"`
-	Cycles     []uint64  `json:"cycles"`
-}
-
-type meansJSON struct {
-	FP  []float64 `json:"fp"`
-	Int []float64 `json:"int"`
-	All []float64 `json:"all"`
-}
-
-func writeJSON(path string, rows []harness.Figure5Row, workers int, elapsed time.Duration) error {
-	out := benchJSON{
-		Schema:           "drbench/figure5/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-	}
-	for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-		out.Configs = append(out.Configs, c.String())
-	}
-	for _, r := range rows {
-		row := rowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
-		for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-			row.Normalized = append(row.Normalized, r.Normalized[c])
-			cycles := r.Ticks[c].Cycles()
-			row.Cycles = append(row.Cycles, cycles)
-			out.TotalSimulatedCycle += cycles
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	m := harness.Means(rows)
-	for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-		out.Means.FP = append(out.Means.FP, m.FP[c])
-		out.Means.Int = append(out.Means.Int, m.Int[c])
-		out.Means.All = append(out.Means.All, m.All[c])
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// fuzzJSON is the file layout of -fuzz -json: one row per generated program
-// with its per-configuration verdicts, so CI can archive exactly which seeds
-// ran and which diverged.
-type fuzzJSON struct {
-	Schema           string         `json:"schema"`
-	Workers          int            `json:"workers"`
-	WallClockSeconds float64        `json:"wall_clock_seconds"`
-	SeedBase         int64          `json:"seed_base"`
-	MaxOps           int            `json:"max_ops"`
-	Configs          []string       `json:"configs"`
-	Programs         int            `json:"programs"`
-	Mismatching      int            `json:"mismatching"`
-	Reports          []*fuzz.Report `json:"reports"`
-}
-
-func writeFuzzJSON(path string, seedBase int64, maxOps int, reports []*fuzz.Report, workers int, elapsed time.Duration) error {
-	out := fuzzJSON{
-		Schema:           "drbench/fuzz/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		SeedBase:         seedBase,
-		MaxOps:           maxOps,
-		Programs:         len(reports),
-		Reports:          reports,
-	}
-	for _, c := range fuzz.Configs() {
-		out.Configs = append(out.Configs, c.Name)
-	}
-	for _, r := range reports {
-		if !r.Passed() {
-			out.Mismatching++
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// sweepJSON is the file layout of -cachesweep -json: per (benchmark, budget)
-// normalized time plus the cache-management counters that explain it.
-type sweepJSON struct {
-	Schema           string         `json:"schema"`
-	Workers          int            `json:"workers"`
-	WallClockSeconds float64        `json:"wall_clock_seconds"`
-	Points           []pointJSON    `json:"points"`
-	Rows             []sweepRowJSON `json:"rows"`
-	Means            []float64      `json:"means"`
-}
-
-type pointJSON struct {
-	Name     string `json:"name"`
-	Bytes    int    `json:"bytes"`
-	Adaptive bool   `json:"adaptive"`
-}
-
-type sweepRowJSON struct {
-	Benchmark     string    `json:"benchmark"`
-	Class         string    `json:"class"`
-	Normalized    []float64 `json:"normalized"`
-	Cycles        []uint64  `json:"cycles"`
-	Evictions     []uint64  `json:"evictions"`
-	Regenerations []uint64  `json:"regenerations"`
-	CacheResizes  []uint64  `json:"cache_resizes"`
-	BBLiveBytes   []uint64  `json:"bb_live_bytes"`
-	TrLiveBytes   []uint64  `json:"trace_live_bytes"`
-}
-
-func writeSweepJSON(path string, points []harness.CachePoint, rows []harness.CacheSweepRow, workers int, elapsed time.Duration) error {
-	out := sweepJSON{
-		Schema:           "drbench/cachesweep/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Means:            harness.CacheSweepMeans(points, rows),
-	}
-	for _, p := range points {
-		out.Points = append(out.Points, pointJSON{Name: p.Name, Bytes: p.Bytes, Adaptive: p.Adaptive})
-	}
-	for _, r := range rows {
-		row := sweepRowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
-		for _, c := range r.Cells {
-			row.Normalized = append(row.Normalized, c.Normalized)
-			row.Cycles = append(row.Cycles, c.Ticks.Cycles())
-			row.Evictions = append(row.Evictions, c.Stats.Evictions)
-			row.Regenerations = append(row.Regenerations, c.Stats.Regenerations)
-			row.CacheResizes = append(row.CacheResizes, c.Stats.CacheResizes)
-			row.BBLiveBytes = append(row.BBLiveBytes, c.Stats.BBCacheLiveBytes)
-			row.TrLiveBytes = append(row.TrLiveBytes, c.Stats.TraceCacheLiveBytes)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// iblSweepJSON is the file layout of -iblsweep -json: per (benchmark, IBL
-// configuration) the Figure-5-style normalized overhead plus the dispatcher
-// context switches an IBL hit avoids and the hashtable behaviour counters
-// (misses, probe chains, growth, displacement, elisions) that explain it.
-type iblSweepJSON struct {
-	Schema           string            `json:"schema"`
-	Workers          int               `json:"workers"`
-	WallClockSeconds float64           `json:"wall_clock_seconds"`
-	Points           []iblPointJSON    `json:"points"`
-	Rows             []iblSweepRowJSON `json:"rows"`
-	Means            []float64         `json:"means"`
-}
-
-type iblPointJSON struct {
-	Name         string `json:"name"`
-	Bits         uint   `json:"bits"`
-	DirectMapped bool   `json:"direct_mapped"`
-	Adaptive     bool   `json:"adaptive"`
-	FlagsElision bool   `json:"flags_elision"`
-}
-
-type iblSweepRowJSON struct {
-	Benchmark          string    `json:"benchmark"`
-	Class              string    `json:"class"`
-	Normalized         []float64 `json:"normalized"`
-	Cycles             []uint64  `json:"cycles"`
-	ContextSwitches    []uint64  `json:"context_switches"`
-	IBLMisses          []uint64  `json:"ibl_misses"`
-	IBLCollisions      []uint64  `json:"ibl_collisions"`
-	IBLMaxProbe        []uint64  `json:"ibl_max_probe"`
-	IBLResizes         []uint64  `json:"ibl_resizes"`
-	IBLReplaced        []uint64  `json:"ibl_replaced"`
-	FlagsElisions      []uint64  `json:"flags_elisions"`
-	InlineChecksElided []uint64  `json:"inline_checks_elided"`
-}
-
-func writeIBLSweepJSON(path string, points []harness.IBLPoint, rows []harness.IBLSweepRow, workers int, elapsed time.Duration) error {
-	out := iblSweepJSON{
-		Schema:           "drbench/iblsweep/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Means:            harness.IBLSweepMeans(points, rows),
-	}
-	for _, p := range points {
-		out.Points = append(out.Points, iblPointJSON{
-			Name: p.Name, Bits: p.Bits, DirectMapped: p.DirectMapped,
-			Adaptive: p.Adaptive, FlagsElision: p.FlagsElision,
-		})
-	}
-	for _, r := range rows {
-		row := iblSweepRowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
-		for _, c := range r.Cells {
-			row.Normalized = append(row.Normalized, c.Normalized)
-			row.Cycles = append(row.Cycles, c.Ticks.Cycles())
-			row.ContextSwitches = append(row.ContextSwitches, c.Stats.ContextSwitches)
-			row.IBLMisses = append(row.IBLMisses, c.Stats.IBLMisses)
-			row.IBLCollisions = append(row.IBLCollisions, c.Stats.IBLCollisions)
-			row.IBLMaxProbe = append(row.IBLMaxProbe, c.Stats.IBLMaxProbe)
-			row.IBLResizes = append(row.IBLResizes, c.Stats.IBLResizes)
-			row.IBLReplaced = append(row.IBLReplaced, c.Stats.IBLReplaced)
-			row.FlagsElisions = append(row.FlagsElisions, c.Stats.FlagsElisions)
-			row.InlineChecksElided = append(row.InlineChecksElided, c.Stats.InlineChecksElided)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// stormJSON is the file layout of -faultstorm -json: per (benchmark, seed)
-// the injected plans, the native delivered-fault sequence, and each runtime
-// configuration's match verdict with the counters that prove the translation
-// and eviction paths ran.
-type stormJSON struct {
-	Schema           string             `json:"schema"`
-	Workers          int                `json:"workers"`
-	WallClockSeconds float64            `json:"wall_clock_seconds"`
-	Seeds            []int64            `json:"seeds"`
-	Rows             []harness.StormRow `json:"rows"`
-	Passed           int                `json:"passed"`
-}
-
-func writeStormJSON(path string, seeds []int64, rows []harness.StormRow, workers int, elapsed time.Duration) error {
-	out := stormJSON{
-		Schema:           "drbench/faultstorm/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Seeds:            seeds,
-		Rows:             rows,
-	}
-	for _, r := range rows {
-		if r.Passed() {
-			out.Passed++
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// chaosJSON is the file layout of -chaosstorm -json: per (case, chaos
-// schedule) the trigger recipe, the riding machine-fault plans, and each
-// runtime configuration's match verdict with the recovery-ladder counters
-// (fires, recoveries, audit failures, degrade level, re-attaches), plus the
-// suite-wide per-site fire totals CI checks for coverage.
-type chaosJSON struct {
-	Schema           string             `json:"schema"`
-	Workers          int                `json:"workers"`
-	WallClockSeconds float64            `json:"wall_clock_seconds"`
-	Seeds            []int64            `json:"seeds"`
-	SiteFires        map[string]uint64  `json:"site_fires"`
-	Reattaches       uint64             `json:"reattaches"`
-	Rows             []harness.ChaosRow `json:"rows"`
-	Passed           int                `json:"passed"`
-}
-
-func writeChaosJSON(path string, seeds []int64, rows []harness.ChaosRow, workers int, elapsed time.Duration) error {
-	out := chaosJSON{
-		Schema:           "drbench/chaos/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Seeds:            seeds,
-		SiteFires:        harness.ChaosSiteTotals(rows),
-		Reattaches:       harness.ChaosReattachTotal(rows),
-		Rows:             rows,
-	}
-	for _, r := range rows {
-		if r.Passed() {
-			out.Passed++
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// profileJSON is the file layout of -profile -json: per benchmark the
-// per-phase tick breakdown (phase_ticks sums exactly to ticks — the
-// conservation invariant CI asserts), the hottest fragments, and the cache
-// counters behind them.
-type profileJSON struct {
-	Schema           string           `json:"schema"`
-	Workers          int              `json:"workers"`
-	WallClockSeconds float64          `json:"wall_clock_seconds"`
-	Phases           []string         `json:"phases"`
-	Rows             []profileRowJSON `json:"rows"`
-}
-
-type profileRowJSON struct {
-	Benchmark  string            `json:"benchmark"`
-	Class      string            `json:"class"`
-	Ticks      uint64            `json:"ticks"`
-	Normalized float64           `json:"normalized"`
-	PhaseTicks map[string]uint64 `json:"phase_ticks"`
-
-	Fragments int                   `json:"fragments"`
-	Top       []obs.FragmentProfile `json:"top"`
-
-	BlocksBuilt uint64 `json:"blocks_built"`
-	TracesBuilt uint64 `json:"traces_built"`
-	Evictions   uint64 `json:"evictions"`
-	IBLMisses   uint64 `json:"ibl_misses"`
-
-	Events        int    `json:"events,omitempty"`
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
-}
-
-func writeProfileJSON(path string, rows []harness.ProfileRow, workers int, elapsed time.Duration) error {
-	out := profileJSON{
-		Schema:           "drbench/profile/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Phases:           obs.PhaseNames(),
-	}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, profileRowJSON{
-			Benchmark:     r.Benchmark,
-			Class:         r.Class.String(),
-			Ticks:         uint64(r.Ticks),
-			Normalized:    r.Normalized,
-			PhaseTicks:    r.Phases.Map(),
-			Fragments:     r.Fragments,
-			Top:           r.Top,
-			BlocksBuilt:   r.Stats.BlocksBuilt,
-			TracesBuilt:   r.Stats.TracesBuilt,
-			Evictions:     r.Stats.Evictions,
-			IBLMisses:     r.Stats.IBLMisses,
-			Events:        len(r.Events),
-			EventsDropped: r.EventsDropped,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// telemetryJSON is the file layout of -telemetry -json: per benchmark the
-// distribution-metric digests, any watchdog detections (zero on a healthy
-// suite — CI asserts this), and the runtime counters behind them. Every row
-// in this file has already passed the bit-identity check against native.
-type telemetryJSON struct {
-	Schema           string             `json:"schema"`
-	Workers          int                `json:"workers"`
-	WallClockSeconds float64            `json:"wall_clock_seconds"`
-	Metrics          []string           `json:"metrics"`
-	Anomalies        uint64             `json:"anomalies"`
-	Rows             []telemetryRowJSON `json:"rows"`
-}
-
-type telemetryRowJSON struct {
-	Benchmark  string  `json:"benchmark"`
-	Class      string  `json:"class"`
-	Ticks      uint64  `json:"ticks"`
-	Normalized float64 `json:"normalized"`
-
-	Histograms []obs.HistogramSummary `json:"histograms"`
-	Anomalies  []obs.Anomaly          `json:"anomalies,omitempty"`
-
-	BlocksBuilt uint64 `json:"blocks_built"`
-	TracesBuilt uint64 `json:"traces_built"`
-	Evictions   uint64 `json:"evictions"`
-	IBLMisses   uint64 `json:"ibl_misses"`
-	Recoveries  uint64 `json:"recoveries"`
-}
-
-func writeTelemetryJSON(path string, rows []harness.TelemetryRow, workers int, elapsed time.Duration) error {
-	out := telemetryJSON{
-		Schema:           "drbench/telemetry/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Metrics:          obs.MetricNames(),
-	}
-	for _, r := range rows {
-		out.Anomalies += uint64(len(r.Anomalies))
-		out.Rows = append(out.Rows, telemetryRowJSON{
-			Benchmark:   r.Benchmark,
-			Class:       r.Class.String(),
-			Ticks:       uint64(r.Ticks),
-			Normalized:  r.Normalized,
-			Histograms:  r.Histograms,
-			Anomalies:   r.Anomalies,
-			BlocksBuilt: r.Stats.BlocksBuilt,
-			TracesBuilt: r.Stats.TracesBuilt,
-			Evictions:   r.Stats.Evictions,
-			IBLMisses:   r.Stats.IBLMisses,
-			Recoveries:  r.Stats.Recoveries,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeTraceJSONL writes every benchmark's drained event trace as JSON
-// lines, each labeled with its benchmark name.
-func writeTraceJSONL(path string, rows []harness.ProfileRow) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := obs.WriteJSONL(f, r.Benchmark, r.Events); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// runVerify exercises the whole matrix: every benchmark under the five
-// Table 1 configurations and the six Figure 5 client configurations.
-// RunConfig panics on any output divergence from native, so completing the
-// matrix is the proof.
-func runVerify() {
-	benches := workload.All()
-	ladder := core.TableOneLadder()
-	total := 0
-	for _, b := range benches {
-		fmt.Printf("%-10s", b.Name)
-		for _, opts := range ladder {
-			harness.RunConfig(b, opts)
-			fmt.Print(" .")
-			total++
-		}
-		for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-			harness.RunConfig(b, core.Default(), harness.ClientsFor(c)...)
-			fmt.Print(" .")
-			total++
-		}
-		fmt.Println(" ok")
-	}
-	fmt.Printf("transparency verified: %d benchmark x configuration runs, all outputs identical to native\n", total)
 }

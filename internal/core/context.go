@@ -446,7 +446,7 @@ func (c *Context) tableInsert(tag, dest machine.Addr) {
 		mem.Write32(slot+4, dest)
 		// The chaos point sits after the write on purpose: an insert that
 		// fires here has fully happened, so a rollback that forgets to
-		// scrub it (Options.BreakRollback) leaves a stale slot the
+		// scrub it (Options.breakRollback) leaves a stale slot the
 		// invariant audit must catch.
 		c.rio.chaosPoint(chaos.SiteIBLInsert, tag)
 		return
@@ -598,7 +598,7 @@ func (c *Context) undoRegister(f *Fragment, prev *Fragment) {
 	case cur != nil && cur.shadowedBy == f:
 		cur.shadowedBy = nil
 	}
-	if c.rio.Opts.BreakRollback {
+	if c.rio.Opts.breakRollback {
 		// Mutation-testing lever: deliberately forget the IBL scrub so the
 		// post-rollback invariant audit has a real defect to catch (a slot
 		// mapping the tag to the rolled-back fragment's entry).

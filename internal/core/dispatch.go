@@ -125,7 +125,7 @@ func (r *RIO) dispatch(ctx *Context, tag machine.Addr) (act machine.TrapAction, 
 	fromIBL := ctx.fromIBLMiss
 	ctx.fromIBLMiss = false
 
-	if h := r.Opts.InternalFaultHook; h != nil && h(ctx, tag) {
+	if h := r.Opts.internalFaultHook; h != nil && h(ctx, tag) {
 		panic(fmt.Sprintf("core: injected internal fault at %#x", tag))
 	}
 	r.chaosPoint(chaos.SiteDispatch, tag)

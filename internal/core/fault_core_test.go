@@ -307,10 +307,10 @@ outer:
 	dispatches := 0
 	cl := &detachClient{}
 	opts := core.Default()
-	opts.InternalFaultHook = func(ctx *core.Context, tag machine.Addr) bool {
+	core.SetInternalFaultHook(&opts, func(ctx *core.Context, tag machine.Addr) bool {
 		dispatches++
 		return dispatches == 6 // fail partway through the printing loop
-	}
+	})
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil, cl)
 	if err := r.Run(0); err != nil {
@@ -369,10 +369,10 @@ inner:
 	opts.NativeWindow = 300 // short windows so the cool-down fits the run
 	opts.ReattachCooldown = 6
 	opts.RecoveryBackoff = 2
-	opts.InternalFaultHook = func(ctx *core.Context, tag machine.Addr) bool {
+	core.SetInternalFaultHook(&opts, func(ctx *core.Context, tag machine.Addr) bool {
 		dispatches++
 		return dispatches >= 4 && dispatches <= 18 // a burst, then quiet
-	}
+	})
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil, cl)
 	if err := r.Run(0); err != nil {

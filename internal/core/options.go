@@ -115,13 +115,6 @@ type Options struct {
 	RegenThreshold float64 // default 0.5
 	ResizeEpoch    int     // default 32 evictions per epoch
 
-	// InternalFaultHook, when set, is consulted at every dispatcher entry
-	// and panics when it returns true — a test-only lever to exercise the
-	// internal-failure recovery path without corrupting real state. It is
-	// the original single-point ancestor of the Chaos injector below, kept
-	// for direct control in tests.
-	InternalFaultHook func(ctx *Context, tag machine.Addr) bool
-
 	// Chaos, when set, drives the named injection sites at every fragile
 	// runtime boundary (see internal/chaos): a firing trigger panics at the
 	// site, exercising transactional rollback and the degradation ladder.
@@ -129,14 +122,6 @@ type Options struct {
 	// translation, which has its own retry transaction); setup-time and
 	// client-initiated paths are never injected.
 	Chaos *chaos.Injector
-
-	// BreakRollback deliberately skips the IBL scrub step of emit's
-	// registration rollback, leaving a stale hashtable entry behind after an
-	// injected emit/registration failure. It is the mutation-testing lever
-	// proving CheckCacheInvariants catches a broken rollback path (the
-	// recovery audit must fail and the thread must detach). Never set it
-	// outside tests.
-	BreakRollback bool
 
 	// Degradation-ladder tuning (all have defaults applied by New):
 	//
@@ -196,8 +181,8 @@ type Options struct {
 	// writer; TraceEventPID and TraceEventProcess name this runtime's
 	// process track (pid defaults to 1). Ignored when TraceEventWriter is
 	// also set.
-	TraceEvents      *obs.TraceWriter
-	TraceEventPID    int
+	TraceEvents       *obs.TraceWriter
+	TraceEventPID     int
 	TraceEventProcess string
 
 	// Watchdog turns on the pathology monitor (see obs.Watchdog): the
@@ -210,6 +195,23 @@ type Options struct {
 	WatchdogConfig obs.WatchdogConfig
 
 	Cost CostModel
+
+	// Test-only mutation levers, set through export_test.go so they never
+	// appear in the public configuration.
+	//
+	// internalFaultHook, when set, is consulted at every dispatcher entry
+	// and panics when it returns true: it exercises the internal-failure
+	// recovery path without corrupting real state. It is the original
+	// single-point ancestor of the Chaos injector, kept for direct control
+	// in tests.
+	internalFaultHook func(ctx *Context, tag machine.Addr) bool
+
+	// breakRollback deliberately skips the IBL scrub step of emit's
+	// registration rollback, leaving a stale hashtable entry behind after an
+	// injected emit/registration failure. It proves CheckCacheInvariants
+	// catches a broken rollback path (the recovery audit must fail and the
+	// thread must detach).
+	breakRollback bool
 }
 
 // CostModel holds the modeled overhead constants: runtime work that really

@@ -169,10 +169,10 @@ inner:
 	dispatches := 0
 	opts := telemetryOpts()
 	opts.NativeWindow = 250
-	opts.InternalFaultHook = func(ctx *core.Context, tag machine.Addr) bool {
+	core.SetInternalFaultHook(&opts, func(ctx *core.Context, tag machine.Addr) bool {
 		dispatches++
 		return dispatches == 5
-	}
+	})
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil)
 	if err := r.Run(0); err != nil {
@@ -200,10 +200,10 @@ outer:
 `+exitSnippet)
 	dispatches := 0
 	opts := telemetryOpts()
-	opts.InternalFaultHook = func(ctx *core.Context, tag machine.Addr) bool {
+	core.SetInternalFaultHook(&opts, func(ctx *core.Context, tag machine.Addr) bool {
 		dispatches++
 		return dispatches == 6
-	}
+	})
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil)
 	if err := r.Run(0); err != nil {
@@ -287,11 +287,11 @@ inner:
 	opts.ReattachCooldown = 6
 	opts.RecoveryBackoff = 2
 	opts.QuarantineThreshold = 100 // keep tags on the backoff path: flap, not permanent bar
-	opts.InternalFaultHook = func(ctx *core.Context, tag machine.Addr) bool {
+	core.SetInternalFaultHook(&opts, func(ctx *core.Context, tag machine.Addr) bool {
 		dispatches++
 		phase := dispatches % 60
 		return phase >= 4 && phase <= 12 // a burst every 60 dispatches, quiet between
-	}
+	})
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil, cl)
 	if err := r.Run(0); err != nil {

@@ -1,12 +1,10 @@
 package fuzz
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/image"
 	"repro/internal/machine"
 	"repro/internal/oracle"
@@ -151,48 +149,21 @@ func Check(p *Prog, mutate func(*core.Options)) (*Report, error) {
 	return rep, nil
 }
 
-// Campaign generates and checks one program per seed with a pool of worker
-// goroutines (workers <= 0 means one per GOMAXPROCS). Results are in seed
-// order and deterministic for any worker count. Infrastructure errors
-// (assembly failures, run-limit overruns) are joined into the returned
-// error; architectural mismatches are reported in the per-seed Reports, not
-// as errors.
+// Campaign generates and checks one program per seed through harness.Matrix
+// (workers <= 0 means one per GOMAXPROCS). Results are in seed order and
+// deterministic for any worker count. Infrastructure errors (assembly
+// failures, run-limit overruns) are joined into the returned error, and
+// their seeds are left out of the reports; architectural mismatches are
+// reported in the per-seed Reports, not as errors.
 func Campaign(workers int, seeds []int64, maxOps int, mutate func(*core.Options)) ([]*Report, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	reports := make([]*Report, len(seeds))
-	errs := make([]error, len(seeds))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				p := Generate(seeds[i], maxOps)
-				rep, err := Check(p, mutate)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				reports[i] = rep
-			}
-		}()
-	}
-	for i := range seeds {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	reports, err := harness.Matrix(workers, len(seeds), func(i int) (*Report, error) {
+		return Check(Generate(seeds[i], maxOps), mutate)
+	})
 	out := reports[:0]
 	for _, r := range reports {
 		if r != nil {
 			out = append(out, r)
 		}
 	}
-	return out, errors.Join(errs...)
+	return out, err
 }

@@ -1,11 +1,8 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -62,52 +59,26 @@ type CacheSweepRow struct {
 	Cells     []CacheCell // parallel to the sweep points
 }
 
-// CacheSweep evaluates the (benchmark × cache point) matrix with a pool of
-// worker goroutines, one independent simulated machine per cell, returning
-// one row per benchmark in input order. workers <= 0 means one per
-// GOMAXPROCS; results are bit-identical for any worker count. A failing cell
-// is reported in the joined error while the rest of the matrix still runs.
+// CacheSweep evaluates the (benchmark × cache point) matrix through Matrix,
+// one independent simulated machine per cell, returning one row per
+// benchmark in input order. workers <= 0 means one per GOMAXPROCS; results
+// are bit-identical for any worker count. A failing cell is reported in the
+// joined error while the rest of the matrix still runs.
 func CacheSweep(workers int, benches []*workload.Benchmark, points []CachePoint) ([]CacheSweepRow, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	np := len(points)
-	cells := len(benches) * np
-	if workers > cells {
-		workers = cells
-	}
+	res, err := runGrid(workers, benches, np, func(p int) (string, core.Options, []core.Client) {
+		return points[p].Name, points[p].Options(), nil
+	})
 	rows := make([]CacheSweepRow, len(benches))
 	for i, b := range benches {
 		rows[i] = CacheSweepRow{Benchmark: b.Name, Class: b.Class, Cells: make([]CacheCell, np)}
-	}
-	errs := make([]error, cells)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				b, p := benches[k/np], points[k%np]
-				res, err := RunConfigErr(b, p.Options())
-				if err != nil {
-					errs[k] = fmt.Errorf("%s/%s: %w", b.Name, p.Name, err)
-					continue
-				}
-				rows[k/np].Cells[k%np] = CacheCell{
-					Normalized: res.Normalized,
-					Ticks:      res.Ticks,
-					Stats:      res.RIOStats,
-				}
+		for p, r := range res[i*np : (i+1)*np] {
+			if r != nil {
+				rows[i].Cells[p] = CacheCell{Normalized: r.Normalized, Ticks: r.Ticks, Stats: r.RIOStats}
 			}
-		}()
+		}
 	}
-	for k := 0; k < cells; k++ {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	return rows, errors.Join(errs...)
+	return rows, err
 }
 
 // CacheSweepMeans returns the geometric mean of normalized time per sweep

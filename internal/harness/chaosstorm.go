@@ -3,9 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -333,11 +331,11 @@ func runChaosSchedule(c chaosCase, sched chaosSchedule, configs []ChaosConfig) (
 }
 
 // ChaosStorm runs the experiment over the given benchmarks (plus the
-// synthetic signals case) with a pool of worker goroutines (workers <= 0
-// means one per GOMAXPROCS). Each case runs len(seeds) per-site schedules
-// and one storm schedule. sites nil means every chaos site. Results are in
-// input order and deterministic for any worker count; a failing cell is
-// reported in the joined error while the rest of the matrix still runs.
+// synthetic signals case) as two Matrix passes (workers <= 0 means one per
+// GOMAXPROCS). Each case runs len(seeds) per-site schedules and one storm
+// schedule. sites nil means every chaos site. Results are in input order
+// and deterministic for any worker count; a failing cell is reported in the
+// joined error while the rest of the matrix still runs.
 func ChaosStorm(workers int, benches []*workload.Benchmark, seeds []int64,
 	sites []chaos.Site, configs []ChaosConfig) ([]ChaosRow, error) {
 	if len(seeds) == 0 {
@@ -348,70 +346,24 @@ func ChaosStorm(workers int, benches []*workload.Benchmark, seeds []int64,
 	}
 	cases := buildChaosCases(benches)
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// Pass 1: derive each case's schedules from its clean trace.
+	scheds, err1 := Matrix(workers, len(cases), func(i int) ([]chaosSchedule, error) {
+		return buildChaosSchedules(cases[i], seeds, sites)
+	})
+	// Pass 2: replay every (case, schedule) cell.
 	ns := len(seeds) + 1 // per-seed "sites" schedules plus one "storm"
-	jobsN := len(cases) * ns
-	if workers > jobsN {
-		workers = jobsN
-	}
-
+	res, err2 := Matrix(workers, len(cases)*ns, func(k int) (ChaosScheduleResult, error) {
+		i, j := k/ns, k%ns
+		if scheds[i] == nil {
+			return ChaosScheduleResult{}, nil // schedule derivation failed; already reported
+		}
+		return runChaosSchedule(cases[i], scheds[i][j], configs)
+	})
 	rows := make([]ChaosRow, len(cases))
-	scheds := make([][]chaosSchedule, len(cases))
-	errs := make([]error, len(cases)*(ns+1))
-
-	// Phase 1: derive each case's schedules from its clean trace.
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers && w < len(cases); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				c := cases[i]
-				rows[i] = ChaosRow{Benchmark: c.name, Class: c.class,
-					Schedules: make([]ChaosScheduleResult, ns)}
-				s, err := buildChaosSchedules(c, seeds, sites)
-				if err != nil {
-					errs[i*(ns+1)] = err
-					continue
-				}
-				scheds[i] = s
-			}
-		}()
+	for i, c := range cases {
+		rows[i] = ChaosRow{Benchmark: c.name, Class: c.class, Schedules: res[i*ns : (i+1)*ns]}
 	}
-	for i := range cases {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Phase 2: replay every (case, schedule) cell.
-	jobs = make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				i, j := k/ns, k%ns
-				if scheds[i] == nil {
-					continue // schedule derivation failed; already reported
-				}
-				res, err := runChaosSchedule(cases[i], scheds[i][j], configs)
-				if err != nil {
-					errs[i*(ns+1)+1+j] = err
-				}
-				rows[i].Schedules[j] = res
-			}
-		}()
-	}
-	for k := 0; k < jobsN; k++ {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	return rows, errors.Join(errs...)
+	return rows, errors.Join(err1, err2)
 }
 
 // FormatChaosStorm renders the experiment as a pass/fail matrix with the

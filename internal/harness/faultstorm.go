@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -239,78 +237,31 @@ func runStormSchedule(b *workload.Benchmark, sched FaultSchedule, configs []Stor
 	return res, nil
 }
 
-// FaultStorm runs the experiment over the given benchmarks and seeds with a
-// pool of worker goroutines (workers <= 0 means one per GOMAXPROCS), one
-// fresh machine per run — the native-baseline cache is deliberately not used,
-// since every run here is perturbed. Results are in input order and
-// deterministic for any worker count; a failing cell is reported in the
-// joined error while the rest of the matrix still runs.
+// FaultStorm runs the experiment over the given benchmarks and seeds as two
+// Matrix passes (workers <= 0 means one per GOMAXPROCS), one fresh machine
+// per run — the native-baseline cache is deliberately not used, since every
+// run here is perturbed. Results are in input order and deterministic for
+// any worker count; a failing cell is reported in the joined error while
+// the rest of the matrix still runs.
 func FaultStorm(workers int, benches []*workload.Benchmark, seeds []int64, configs []StormConfig) ([]StormRow, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// Pass 1: derive each benchmark's schedules from its clean trace.
+	scheds, err1 := Matrix(workers, len(benches), func(i int) ([]FaultSchedule, error) {
+		return BuildSchedules(benches[i], seeds)
+	})
+	// Pass 2: replay every (benchmark, schedule) cell.
 	ns := len(seeds)
-	jobsN := len(benches) * ns
-	if workers > jobsN {
-		workers = jobsN
-	}
-
+	res, err2 := Matrix(workers, len(benches)*ns, func(k int) (StormScheduleResult, error) {
+		i, j := k/ns, k%ns
+		if scheds[i] == nil {
+			return StormScheduleResult{}, nil // schedule derivation failed; already reported
+		}
+		return runStormSchedule(benches[i], scheds[i][j], configs)
+	})
 	rows := make([]StormRow, len(benches))
-	scheds := make([][]FaultSchedule, len(benches))
-	errs := make([]error, len(benches)*(ns+1))
-
-	// Phase 1: derive each benchmark's schedules from its clean trace (one
-	// job per benchmark).
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers && w < len(benches); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				b := benches[i]
-				rows[i] = StormRow{Benchmark: b.Name, Class: b.Class,
-					Schedules: make([]StormScheduleResult, ns)}
-				s, err := BuildSchedules(b, seeds)
-				if err != nil {
-					errs[i*(ns+1)] = err
-					continue
-				}
-				scheds[i] = s
-			}
-		}()
+	for i, b := range benches {
+		rows[i] = StormRow{Benchmark: b.Name, Class: b.Class, Schedules: res[i*ns : (i+1)*ns]}
 	}
-	for i := range benches {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Phase 2: replay every (benchmark, schedule) cell.
-	jobs = make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				i, j := k/ns, k%ns
-				if scheds[i] == nil {
-					continue // schedule derivation failed; already reported
-				}
-				res, err := runStormSchedule(benches[i], scheds[i][j], configs)
-				if err != nil {
-					errs[i*(ns+1)+1+j] = err
-				}
-				rows[i].Schedules[j] = res
-			}
-		}()
-	}
-	for k := 0; k < jobsN; k++ {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	return rows, errors.Join(errs...)
+	return rows, errors.Join(err1, err2)
 }
 
 // FormatFaultStorm renders the experiment as a pass/fail matrix with the

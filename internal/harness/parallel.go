@@ -1,64 +1,54 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/workload"
 )
 
 // RunMatrix evaluates the full (benchmark × Figure-5 configuration) matrix
-// with a pool of worker goroutines and returns one row per benchmark, in
-// input order. workers <= 0 means one worker per GOMAXPROCS.
+// through Matrix and returns one row per benchmark, in input order.
+// workers <= 0 means one worker per GOMAXPROCS.
 //
 // Every cell is an independent simulated Machine with fresh client
 // instances, and the native-baseline cache serializes per benchmark, so the
-// rows are bit-identical for any worker count — parallelism changes only
-// wall-clock time. A cell that fails (or panics) is reported in the joined
-// error while the remaining cells still run.
+// rows are bit-identical for any worker count. A cell that fails (or
+// panics) is reported in the joined error while the remaining cells still
+// run.
 func RunMatrix(workers int, benches []*workload.Benchmark, opts core.Options) ([]Figure5Row, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	nc := int(NumOptConfigs)
-	cells := len(benches) * nc
-	if workers > cells {
-		workers = cells
-	}
+	res, err := runGrid(workers, benches, nc, func(c int) (string, core.Options, []core.Client) {
+		return OptConfig(c).String(), opts, ClientsFor(OptConfig(c))
+	})
 	rows := make([]Figure5Row, len(benches))
 	for i, b := range benches {
 		rows[i] = Figure5Row{Benchmark: b.Name, Class: b.Class}
-	}
-	errs := make([]error, cells)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				b, c := benches[k/nc], OptConfig(k%nc)
-				res, err := RunConfigErr(b, opts, ClientsFor(c)...)
-				if err != nil {
-					errs[k] = fmt.Errorf("%s/%s: %w", b.Name, c, err)
-					continue
-				}
-				// Distinct cells write distinct row elements, so no
-				// further synchronization is needed beyond the WaitGroup.
-				rows[k/nc].Normalized[c] = res.Normalized
-				rows[k/nc].Ticks[c] = res.Ticks
+		for c, r := range res[i*nc : (i+1)*nc] {
+			if r != nil {
+				rows[i].Normalized[c] = r.Normalized
+				rows[i].Ticks[c] = r.Ticks
 			}
-		}()
+		}
 	}
-	for k := 0; k < cells; k++ {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	return rows, errors.Join(errs...)
+	return rows, err
+}
+
+// runGrid runs every (benchmark, column) cell of a configuration sweep
+// through Matrix, column c configured by col(c), and returns the results
+// benchmark-major (nil for a failed cell). col is called once per cell, so
+// it can hand out fresh client instances.
+func runGrid(workers int, benches []*workload.Benchmark, ncols int,
+	col func(c int) (name string, opts core.Options, clients []core.Client)) ([]*ConfigResult, error) {
+	return Matrix(workers, len(benches)*ncols, func(k int) (*ConfigResult, error) {
+		b := benches[k/ncols]
+		name, opts, clients := col(k % ncols)
+		res, err := RunConfigErr(b, opts, clients...)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", b.Name, name, err)
+		}
+		return res, nil
+	})
 }
 
 // Figure5Options returns the configuration Figure 5 measures against: the
@@ -81,14 +71,16 @@ func Figure5Options() core.Options {
 // means one worker per GOMAXPROCS). With names non-empty, only those
 // benchmarks run. The rows are bit-identical to the serial Figure5.
 func Figure5Parallel(workers int, names ...string) ([]Figure5Row, error) {
-	benches, err := benchSubset(names)
+	benches, err := Benchmarks(names)
 	if err != nil {
 		return nil, err
 	}
 	return RunMatrix(workers, benches, Figure5Options())
 }
 
-func benchSubset(names []string) ([]*workload.Benchmark, error) {
+// Benchmarks resolves benchmark names to the suite's benchmarks, in the
+// given order; no names means the whole suite.
+func Benchmarks(names []string) ([]*workload.Benchmark, error) {
 	if len(names) == 0 {
 		return workload.All(), nil
 	}

@@ -2,11 +2,8 @@ package harness
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -82,42 +79,15 @@ func runProfile(b *workload.Benchmark, topN, ring int) (ProfileRow, error) {
 }
 
 // Profile runs the where-the-cycles-go experiment over the given benchmarks
-// with a pool of worker goroutines (workers <= 0 means one per GOMAXPROCS),
-// keeping the topN hottest fragments per benchmark and, with ring > 0, an
-// event-trace ring of that many entries per thread. Results are in input
-// order and deterministic for any worker count; a failing benchmark is
-// reported in the joined error while the rest still run.
+// through Matrix (workers <= 0 means one per GOMAXPROCS), keeping the topN
+// hottest fragments per benchmark and, with ring > 0, an event-trace ring
+// of that many entries per thread. Results are in input order and
+// deterministic for any worker count; a failing benchmark is reported in
+// the joined error while the rest still run.
 func Profile(workers, topN, ring int, benches []*workload.Benchmark) ([]ProfileRow, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(benches) {
-		workers = len(benches)
-	}
-	rows := make([]ProfileRow, len(benches))
-	errs := make([]error, len(benches))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				row, err := runProfile(benches[k], topN, ring)
-				if err != nil {
-					errs[k] = err
-					continue
-				}
-				rows[k] = row
-			}
-		}()
-	}
-	for k := range benches {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	return rows, errors.Join(errs...)
+	return Matrix(workers, len(benches), func(k int) (ProfileRow, error) {
+		return runProfile(benches[k], topN, ring)
+	})
 }
 
 // FormatProfile renders the phase breakdown as percent-of-run per benchmark

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -105,51 +103,25 @@ func runTelemetry(b *workload.Benchmark, tw *obs.TraceWriter, pid int) (Telemetr
 }
 
 // Telemetry runs the full-telemetry experiment over the given benchmarks
-// with a pool of worker goroutines (workers <= 0 means one per GOMAXPROCS).
-// A non-nil traceOut receives one combined Chrome trace-event stream for the
-// whole matrix — one Perfetto process per benchmark, distinguished by pid in
+// through Matrix (workers <= 0 means one per GOMAXPROCS). A non-nil
+// traceOut receives one combined Chrome trace-event stream for the whole
+// matrix — one Perfetto process per benchmark, distinguished by pid in
 // input order. Results are in input order; a failing benchmark is reported
 // in the joined error while the rest still run.
 func Telemetry(workers int, benches []*workload.Benchmark, traceOut io.Writer) ([]TelemetryRow, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(benches) {
-		workers = len(benches)
-	}
 	var tw *obs.TraceWriter
 	if traceOut != nil {
 		tw = obs.NewTraceWriter(traceOut)
 	}
-	rows := make([]TelemetryRow, len(benches))
-	errs := make([]error, len(benches))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				row, err := runTelemetry(benches[k], tw, k+1)
-				if err != nil {
-					errs[k] = err
-					continue
-				}
-				rows[k] = row
-			}
-		}()
-	}
-	for k := range benches {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
+	rows, err := Matrix(workers, len(benches), func(k int) (TelemetryRow, error) {
+		return runTelemetry(benches[k], tw, k+1)
+	})
 	if tw != nil {
-		if err := tw.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("telemetry: closing trace-event stream: %w", err))
+		if cerr := tw.Close(); cerr != nil {
+			err = errors.Join(err, fmt.Errorf("telemetry: closing trace-event stream: %w", cerr))
 		}
 	}
-	return rows, errors.Join(errs...)
+	return rows, err
 }
 
 // FormatTelemetry renders per-benchmark distribution digests (count, p50,
