@@ -15,6 +15,7 @@ import (
 	"repro/internal/image"
 	"repro/internal/instr"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -126,9 +127,15 @@ func BenchmarkAblationIBLTable(b *testing.B) {
 
 // BenchmarkAblationThreadCaches compares thread-private code caches (the
 // paper's design) against a shared cache with synchronization costs, on a
-// multithreaded program.
+// multithreaded program. A run whose state differs from native fails.
 func BenchmarkAblationThreadCaches(b *testing.B) {
 	img := threadedImage()
+	nm := machine.New(machine.PentiumIV())
+	img.Boot(nm)
+	if err := nm.Run(0); err != nil {
+		b.Fatal(err)
+	}
+	native := oracle.Capture(nm)
 	for _, shared := range []bool{false, true} {
 		shared := shared
 		name := "private"
@@ -144,6 +151,9 @@ func BenchmarkAblationThreadCaches(b *testing.B) {
 				r := core.New(m, img, opts, nil)
 				if err := r.Run(0); err != nil {
 					b.Fatal(err)
+				}
+				if msg := oracle.Mismatch(native, oracle.Capture(m)); msg != "" {
+					b.Fatalf("%s cache: %s", name, msg)
 				}
 				ticks = m.Ticks
 			}
@@ -201,29 +211,6 @@ wloop:
 .org 0x500000
 done: .word 0
 `)
-}
-
-// BenchmarkAblationCacheSize sweeps the per-thread cache capacity: small
-// caches force wholesale flushes and fragment rebuilding.
-func BenchmarkAblationCacheSize(b *testing.B) {
-	w := workload.ByName("gcc") // large footprint: feels capacity pressure
-	for _, kb := range []int{16, 64, 512, 0 /* default 2 MiB */} {
-		kb := kb
-		name := fmt.Sprintf("%dKiB", kb)
-		if kb == 0 {
-			name = "unlimited"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := core.Default()
-			opts.CacheSize = kb * 1024
-			var res *harness.ConfigResult
-			for n := 0; n < b.N; n++ {
-				res = harness.RunConfig(w, opts)
-			}
-			b.ReportMetric(res.Normalized, "normalized-time")
-			b.ReportMetric(float64(res.RIOStats.CacheFlushes), "flushes")
-		})
-	}
 }
 
 // BenchmarkAblationDispatchChain sweeps the ibdispatch compare-chain length

@@ -67,9 +67,10 @@ type FragmentEvictedHook interface {
 	FragmentEvicted(ctx *Context, tag machine.Addr, kind FragmentKind)
 }
 
-// CacheResizedHook is called when a bounded cache's capacity grows, either
-// adaptively (the regeneration ratio exceeded its threshold) or because a
-// single fragment outgrew the budget.
+// CacheResizedHook is called when a cache's capacity grows: adaptively (the
+// regeneration ratio exceeded its threshold), because a single fragment
+// outgrew the budget, or because a cache that may reuse no bytes (shared, or
+// mid-replacement) filled.
 type CacheResizedHook interface {
 	CacheResized(ctx *Context, kind FragmentKind, oldBytes, newBytes int)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/ia32"
@@ -91,10 +90,11 @@ type Context struct {
 	// SharedCache ablation is on).
 	frags map[machine.Addr]*Fragment
 
-	// Per-thread cache allocators (see eviction.go for the bounded FIFO
-	// policy; unbounded regions use the legacy flush-on-full policy).
-	bb    cacheRegion
-	trace cacheRegion
+	// Cache allocators (the FIFO circular buffers of eviction.go):
+	// thread-private, or one pair shared by every context under the
+	// SharedCache ablation.
+	bb    *cacheRegion
+	trace *cacheRegion
 
 	// evicted remembers tags whose fragments were evicted under capacity
 	// pressure (one bit per FragmentKind), so that a rebuild is counted as
@@ -107,8 +107,8 @@ type Context struct {
 	pendingResized []resizedEvent
 
 	// inReplace is set while ReplaceFragment emits the new version: a
-	// thread may still be executing old cache code then, so flush-based
-	// memory reuse is disabled.
+	// thread may still be executing old cache code then, so the allocator
+	// reuses no resident bytes.
 	inReplace bool
 
 	iblEntry  [numBranchTypes]machine.Addr
@@ -197,12 +197,6 @@ type Context struct {
 	// IBL miss path, so the miss can be attributed to the fragment the
 	// dispatcher resolves.
 	fromIBLMiss bool
-
-	// liveBB/liveTrace mirror the regions' live-byte counts for
-	// concurrent snapshot readers (StatsSnapshot aggregates them across
-	// threads).
-	liveBB    atomic.Int64
-	liveTrace atomic.Int64
 
 	// Native-window telemetry: the thread's retired-instruction count when
 	// the current cool-down window started, observed as a window-length
@@ -339,7 +333,7 @@ func (c *Context) stale(f *Fragment) bool {
 // invalidateTag discards the fragment chain registered for tag: all links
 // in and out are severed, the lookup tables forget it, and deletion events
 // are delivered at the next safe point. Cache memory is not reused here
-// (dead code stays valid for any thread still inside it); a bounded cache's
+// (dead code stays valid for any thread still inside it); the cache's
 // allocator reclaims the bytes at a later safe point.
 func (c *Context) invalidateTag(tag machine.Addr) {
 	f := c.frags[tag]
@@ -679,49 +673,4 @@ func (c *Context) tableRemove(tag machine.Addr) {
 	mem.Write32(c.iblSlot(hole), iblEmptySlot)
 	mem.Write32(c.iblSlot(hole)+4, 0)
 	c.tableLive--
-}
-
-// allocCache reserves n bytes in the basic-block or trace cache. A bounded
-// region uses the FIFO-evicting circular allocator (eviction.go). An
-// unbounded region that fills is flushed wholesale and the allocation
-// retried — safe because fragment construction only happens from the
-// dispatcher, when the thread is outside the cache (a replacement in flight
-// disables reuse; see inReplace).
-func (c *Context) allocCache(kind FragmentKind, n int) machine.Addr {
-	reg := c.region(kind)
-	if reg.bounded {
-		return c.allocBounded(reg, n)
-	}
-	for attempt := 0; ; attempt++ {
-		a := reg.next
-		if a+machine.Addr(n) <= reg.limit {
-			reg.next += machine.Addr((n + 15) &^ 15) // keep fragments 16-aligned
-			return a
-		}
-		if attempt > 0 || c.rio.Opts.SharedCache || c.inReplace {
-			panic(fmt.Sprintf("core: %s cache exhausted (thread %d, need %d bytes)",
-				kind, c.thread.ID, n))
-		}
-		statInc(&c.rio.Stats.CacheFlushes)
-		c.flushForReuse()
-	}
-}
-
-// flushForReuse empties both of the thread's caches and rewinds their
-// allocators so the memory is reused. Old code may be overwritten; callers
-// guarantee the thread is not executing in the cache. The exit the
-// dispatcher was entered through belongs to flushed code and must not be
-// patched afterwards.
-func (c *Context) flushForReuse() {
-	// A wholesale flush has no incremental repair (it is not one of the
-	// transactional boundaries): suppress injection across it rather than
-	// leave a half-flushed cache no rollback could reconcile.
-	c.rio.chaosSuppress++
-	defer func() { c.rio.chaosSuppress-- }()
-	c.FlushAll()
-	c.bb.reset()
-	c.trace.reset()
-	c.updateLiveGauges()
-	c.lastExit = nil
-	c.xl8Frags = c.xl8Frags[:0]
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/image"
 	"repro/internal/instr"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 )
 
 // runNative executes the program directly on the machine.
@@ -469,6 +470,67 @@ done: .word 0
 	for _, th := range m2.Threads {
 		if !th.Halted {
 			t.Errorf("shared cache: thread %d did not halt", th.ID)
+		}
+	}
+}
+
+// TestSharedCacheThreadsKeepTheirCode runs two threads whose hot loops are
+// built while both are live. Under the SharedCache ablation every thread
+// must allocate from the one shared region pair, never over another
+// thread's fragments; both configurations must match native.
+func TestSharedCacheThreadsKeepTheirCode(t *testing.T) {
+	img := imgOf(t, `
+main:
+    mov eax, 5
+    mov ebx, worker
+    mov ecx, 0x200000
+    int 0x80
+    mov ecx, 300000
+mainloop:
+    add edx, 3
+    dec ecx
+    jnz mainloop
+wait:
+    mov eax, [done]
+    test eax, eax
+    jz wait
+    mov eax, 3
+    mov ebx, edx
+    int 0x80
+    mov eax, 3
+    mov ebx, [wsum]
+    int 0x80
+`+exitSnippet+`
+worker:
+    mov ecx, 300000
+wloop:
+    add esi, 7
+    dec ecx
+    jnz wloop
+    mov [wsum], esi
+    mov dword [done], 1
+    mov eax, 1
+    mov ebx, 0
+    int 0x80
+.org 0x9000
+done: .word 0
+wsum: .word 0
+`)
+	native := oracle.Capture(runNative(t, img))
+	if native.Output != "9000002100000" {
+		t.Fatalf("native output = %q", native.Output)
+	}
+	for _, shared := range []bool{false, true} {
+		opts := core.Default()
+		opts.SharedCache = shared
+		m, r := runUnder(t, img, opts)
+		if got := oracle.Capture(m); !oracle.Equal(native, got) {
+			t.Errorf("SharedCache=%v: %s", shared, oracle.Mismatch(native, got))
+		}
+		for _, th := range m.Threads {
+			if err := r.ContextOf(th).CheckCacheInvariants(); err != nil {
+				t.Errorf("SharedCache=%v thread %d: %v", shared, th.ID, err)
+			}
 		}
 	}
 }

@@ -267,9 +267,8 @@ func (r *RIO) emit(ctx *Context, kind FragmentKind, tag machine.Addr, list *inst
 	r.txnPush(func() { ctx.undoRegister(f, prev) })
 	ctx.register(f)
 	r.txnPush(func() {
-		if reg.bounded && reg.removeResident(f) {
-			reg.liveBytes -= f.alignedSize()
-			ctx.updateLiveGauges()
+		if reg.removeResident(f) {
+			reg.liveBytes.Add(-int64(f.alignedSize()))
 		}
 	})
 	ctx.noteFragment(f)

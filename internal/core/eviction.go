@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/machine"
@@ -11,15 +12,16 @@ import (
 
 // Cache capacity management (Section 6 of the paper).
 //
-// Each thread-private cache (basic-block and trace) can be given a byte
-// budget. A bounded cache is managed as a circular buffer: allocation bumps
-// a pointer through [base, limit), and when the pointer runs into resident
-// code the oldest fragments are evicted to make room — FIFO replacement,
-// which the paper reports matches cleverer policies at none of the profiling
-// cost. Eviction fully unlinks the victim (outgoing links, incoming links,
-// its IBL hashtable entry), restores trace-head state so the block can
-// become hot and be rebuilt later, and hands the bytes back to the allocator
-// for reuse.
+// Every cache region (basic-block and trace) is a circular buffer:
+// allocation bumps a pointer through [base, limit), and when the pointer
+// runs into resident code the oldest fragments are evicted to make room —
+// FIFO replacement, which the paper reports matches cleverer policies at none
+// of the profiling cost. Eviction fully unlinks the victim (outgoing links,
+// incoming links, its IBL hashtable entry), restores trace-head state so the
+// block can become hot and be rebuilt later, and hands the bytes back to the
+// allocator for reuse. A region without a byte budget spans the whole
+// per-thread address reservation, which no workload fills, so it never
+// evicts.
 //
 // Adaptive sizing (Section 6.2) watches the ratio of regenerated fragments
 // (rebuilds of previously evicted tags) to replaced fragments per epoch of
@@ -27,7 +29,8 @@ import (
 // grows; a low ratio means the cache is comfortably cycling cold code and
 // stays put.
 
-// cacheRegion is the allocator state of one thread cache.
+// cacheRegion is the allocator state of one code cache: a thread's own, or
+// the single pair every thread shares under the SharedCache ablation.
 type cacheRegion struct {
 	kind FragmentKind
 
@@ -36,18 +39,16 @@ type cacheRegion struct {
 	limit machine.Addr // base + current capacity
 	max   machine.Addr // base + cacheStride: the address-reservation ceiling
 
-	// bounded selects the FIFO-evicting circular allocator; unbounded
-	// regions keep the legacy bump-then-flush-wholesale policy.
-	bounded bool
-
 	// resident holds every fragment whose bytes are still reserved in the
 	// region — live or dead-awaiting-reuse. The allocator frees space by
 	// reclaiming the nearest resident ahead of the bump pointer, which
 	// under bump allocation is also the oldest: FIFO order without a queue.
 	resident []*Fragment
 
-	// liveBytes is the aligned footprint of the non-dead residents.
-	liveBytes int
+	// liveBytes is the aligned footprint of the non-dead residents. Only
+	// the runtime goroutine writes it; it is atomic so StatsSnapshot may
+	// read it concurrently.
+	liveBytes atomic.Int64
 
 	// Adaptive-sizing epoch counters.
 	epochEvictions int
@@ -62,30 +63,24 @@ type cacheRegion struct {
 // epoch returns the region's current telemetry epoch.
 func (reg *cacheRegion) epoch(resizeEpoch int) int { return reg.totalEvictions / resizeEpoch }
 
-// newRegion builds one thread cache's allocator state. A positive byte
-// budget selects the bounded FIFO policy — except under the SharedCache
-// ablation, where eviction is unsafe (another thread may be executing the
-// victim) and the legacy policy is kept.
-func newRegion(kind FragmentKind, base, size machine.Addr, budget int, shared bool) cacheRegion {
-	reg := cacheRegion{kind: kind, base: base, next: base, limit: base + size, max: base + cacheStride}
-	if budget > 0 && !shared {
-		b := machine.Addr((budget + 15) &^ 15)
-		if b > cacheStride {
-			b = cacheStride
-		}
-		reg.limit = base + b
-		reg.bounded = true
+// newRegion builds one cache's allocator state at base. A positive byte
+// budget is the initial capacity; 0 means the whole cacheStride
+// reservation.
+func newRegion(kind FragmentKind, base machine.Addr, budget int) *cacheRegion {
+	capacity := cacheStride
+	if b := machine.Addr((budget + 15) &^ 15); budget > 0 && b < cacheStride {
+		capacity = b
 	}
-	return reg
+	return &cacheRegion{kind: kind, base: base, next: base, limit: base + capacity, max: base + cacheStride}
 }
 
 func (reg *cacheRegion) capacity() int { return int(reg.limit - reg.base) }
 
-// reset empties the region's allocator state (wholesale flush).
+// reset empties the region's allocator state (a detached thread's teardown).
 func (reg *cacheRegion) reset() {
 	reg.next = reg.base
 	reg.resident = reg.resident[:0]
-	reg.liveBytes = 0
+	reg.liveBytes.Store(0)
 }
 
 // alignedSize is the cache footprint of a fragment: emitted bytes rounded up
@@ -99,9 +94,9 @@ func (f *Fragment) Dead() bool { return f.dead }
 // region returns the allocator state for a fragment kind.
 func (c *Context) region(kind FragmentKind) *cacheRegion {
 	if kind == KindTrace {
-		return &c.trace
+		return c.trace
 	}
-	return &c.bb
+	return c.bb
 }
 
 // evictedEvent and resizedEvent are deferred client notifications, delivered
@@ -117,11 +112,14 @@ type resizedEvent struct {
 	newBytes int
 }
 
-// allocBounded reserves n bytes in a bounded region, evicting the oldest
-// resident fragments as needed. Callers guarantee the thread is outside the
-// code cache (the dispatcher invariant) — except under inReplace, where no
-// resident bytes may be reused and the region grows instead.
-func (c *Context) allocBounded(reg *cacheRegion, n int) machine.Addr {
+// allocCache reserves n bytes in the basic-block or trace cache, evicting
+// the oldest resident fragments as needed. Callers guarantee the thread is
+// outside the code cache (the dispatcher invariant). Two cases may reuse no
+// resident bytes, and grow the region instead: a replacement in flight
+// (inReplace), where the thread may still be executing old code, and the
+// SharedCache ablation, where another thread may be executing the victim.
+func (c *Context) allocCache(kind FragmentKind, n int) machine.Addr {
+	reg := c.region(kind)
 	need := machine.Addr((n + 15) &^ 15)
 	// A fragment larger than the whole budget forces a permanent grow: the
 	// budget is a working-set target, not a correctness bound.
@@ -143,15 +141,15 @@ func (c *Context) allocBounded(reg *cacheRegion, n int) machine.Addr {
 			return a
 		}
 		if obstacle != nil {
-			if c.inReplace {
-				// The thread may be executing resident code: nothing may
+			if c.inReplace || c.rio.Opts.SharedCache {
+				// Some thread may be executing resident code: nothing may
 				// be reused. Jump past everything and extend the region.
 				before := reg.capacity()
 				reg.next = reg.limit
 				c.growRegion(reg, before+int(need))
 				if reg.capacity() == before {
-					panic(fmt.Sprintf("core: %s cache reservation exhausted during replacement (thread %d)",
-						reg.kind, c.thread.ID))
+					panic(fmt.Sprintf("core: %s cache reservation exhausted (thread %d, need %d bytes)",
+						reg.kind, c.thread.ID, n))
 				}
 				continue
 			}
@@ -164,7 +162,7 @@ func (c *Context) allocBounded(reg *cacheRegion, n int) machine.Addr {
 			// A full lap without room means the region cannot hold the
 			// fragment even when empty; the grow above prevents this
 			// unless the address reservation itself is exhausted.
-			panic(fmt.Sprintf("core: bounded %s cache cannot place %d bytes (thread %d)",
+			panic(fmt.Sprintf("core: %s cache cannot place %d bytes (thread %d)",
 				reg.kind, n, c.thread.ID))
 		}
 		wrapped = true
@@ -308,7 +306,7 @@ func (c *Context) scrubEvicted(f *Fragment) {
 	delete(c.headCounter, f.Tag)
 }
 
-// growRegion raises a bounded region's capacity to at least newCap bytes,
+// growRegion raises a region's capacity to at least newCap bytes,
 // clamped to the per-thread address reservation, and queues the client
 // resize event.
 func (c *Context) growRegion(reg *cacheRegion, newCap int) {
@@ -344,10 +342,7 @@ func (c *Context) killFragment(f *Fragment) {
 		r.unlink(e)
 	}
 	f.dead = true
-	if reg := f.ctx.region(f.Kind); reg.bounded {
-		reg.liveBytes -= f.alignedSize()
-		f.ctx.updateLiveGauges()
-	}
+	f.ctx.region(f.Kind).liveBytes.Add(-int64(f.alignedSize()))
 	c.pendingDeleted = append(c.pendingDeleted, f)
 }
 
@@ -355,13 +350,9 @@ func (c *Context) killFragment(f *Fragment) {
 // allocator and counts regenerations (rebuilds of tags evicted earlier).
 func (c *Context) noteFragment(f *Fragment) {
 	reg := c.region(f.Kind)
-	if !reg.bounded {
-		return
-	}
 	reg.resident = append(reg.resident, f)
-	reg.liveBytes += f.alignedSize()
+	reg.liveBytes.Add(int64(f.alignedSize()))
 	f.birthEpoch = reg.epoch(c.rio.Opts.ResizeEpoch)
-	c.updateLiveGauges()
 	bit := uint8(1) << f.Kind
 	if c.evicted[f.Tag]&bit != 0 {
 		c.evicted[f.Tag] &^= bit
@@ -370,26 +361,17 @@ func (c *Context) noteFragment(f *Fragment) {
 	}
 }
 
-// updateLiveGauges publishes the per-region live-byte counts to this
-// context's atomic gauges, which StatsSnapshot aggregates across threads
-// (the per-thread gauges are authoritative; a global mirror would be
-// last-writer-wins across threads).
-func (c *Context) updateLiveGauges() {
-	c.liveBB.Store(int64(c.bb.liveBytes))
-	c.liveTrace.Store(int64(c.trace.liveBytes))
-}
-
 // CacheUsage reports the live fragment bytes and current capacity of one of
 // this thread's caches.
 func (c *Context) CacheUsage(kind FragmentKind) (liveBytes, capacity int) {
 	reg := c.region(kind)
-	return reg.liveBytes, reg.capacity()
+	return int(reg.liveBytes.Load()), reg.capacity()
 }
 
 // CheckCacheInvariants validates the runtime's cache data structures after
 // eviction activity, returning the first violation found:
 //
-//   - residents of a bounded cache lie inside the region and are pairwise
+//   - residents of each cache region lie inside it and are pairwise
 //     disjoint (freed bytes are reused, never double-booked), and the live
 //     ones match the byte accounting and fit the budget;
 //   - no live fragment's outgoing link targets a dead fragment, and every
@@ -407,10 +389,7 @@ func (c *Context) CacheUsage(kind FragmentKind) (liveBytes, capacity int) {
 // It is the oracle behind the eviction property tests and is cheap enough to
 // run after every dispatch in them.
 func (c *Context) CheckCacheInvariants() error {
-	for _, reg := range []*cacheRegion{&c.bb, &c.trace} {
-		if !reg.bounded {
-			continue
-		}
+	for _, reg := range []*cacheRegion{c.bb, c.trace} {
 		live := 0
 		frags := append([]*Fragment(nil), reg.resident...)
 		sort.Slice(frags, func(i, j int) bool { return frags[i].Entry < frags[j].Entry })
@@ -428,9 +407,9 @@ func (c *Context) CheckCacheInvariants() error {
 			}
 			prevEnd = f.Entry + machine.Addr(f.alignedSize())
 		}
-		if live != reg.liveBytes {
+		if tracked := int(reg.liveBytes.Load()); live != tracked {
 			return fmt.Errorf("%s live-byte accounting: counted %d, tracked %d",
-				reg.kind, live, reg.liveBytes)
+				reg.kind, live, tracked)
 		}
 		if live > reg.capacity() {
 			return fmt.Errorf("%s cache over budget: %d live > %d capacity",

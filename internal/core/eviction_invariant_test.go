@@ -1,6 +1,6 @@
 package core_test
 
-// Property tests for the bounded-cache allocator: after every forced
+// Property tests for the FIFO cache allocator: after every forced
 // eviction, the runtime's link graph and lookup structures must contain no
 // trace of the victim — no outgoing link and no IBL hashtable entry may
 // target freed cache memory — and the freed bytes must actually be reused
@@ -68,9 +68,11 @@ func invariantWorkloads(t *testing.T) []*workload.Benchmark {
 	return bs
 }
 
-// TestEvictionInvariants runs pressured configurations with a client that
-// re-validates the link graph, byte accounting and IBL hashtable after every
-// single eviction and resize.
+// TestEvictionInvariants runs the differential configurations with a client
+// that re-validates the link graph, byte accounting and IBL hashtable after
+// every single eviction and resize, and once more on every thread at run
+// end — the only audit the never-evicting unbounded column gets, along with
+// its live-byte gauge.
 func TestEvictionInvariants(t *testing.T) {
 	configs := diffConfigs()
 	for _, b := range invariantWorkloads(t) {
@@ -79,9 +81,6 @@ func TestEvictionInvariants(t *testing.T) {
 			t.Parallel()
 			sawEvictions := false
 			for _, cfg := range configs {
-				if !cfg.pressured {
-					continue
-				}
 				chk := &invariantChecker{t: t}
 				m := machine.New(machine.PentiumIV())
 				r := core.New(m, b.Image(), cfg.opts(), nil, chk)
@@ -95,8 +94,16 @@ func TestEvictionInvariants(t *testing.T) {
 					t.Errorf("%s: client saw %d evictions, stats counted %d",
 						cfg.name, chk.evictions, r.Stats.Evictions)
 				}
-				if chk.ctx != nil {
-					chk.check(chk.ctx, "run end")
+				var bbLive uint64
+				for _, th := range m.Threads {
+					ctx := r.ContextOf(th)
+					chk.check(ctx, cfg.name+" run end")
+					live, _ := ctx.CacheUsage(core.KindBasicBlock)
+					bbLive += uint64(live)
+				}
+				if s := r.StatsSnapshot(); !cfg.pressured && (bbLive == 0 || s.BBCacheLiveBytes != bbLive) {
+					t.Errorf("%s: snapshot bb live bytes %d, regions hold %d",
+						cfg.name, s.BBCacheLiveBytes, bbLive)
 				}
 			}
 			if !sawEvictions {

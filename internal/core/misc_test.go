@@ -139,84 +139,3 @@ func TestMachineMiscAccessors(t *testing.T) {
 		t.Error("tick conversion")
 	}
 }
-
-func TestCacheFlushOnFull(t *testing.T) {
-	// A program with a large code footprint forced through a tiny cache:
-	// flushes must occur and execution stay correct.
-	src := "main:\n    mov ecx, 6\nouter:\n    push ecx\n"
-	for i := 0; i < 40; i++ {
-		src += "    call fn" + itoa(i) + "\n"
-	}
-	src += `
-    pop ecx
-    dec ecx
-    jnz outer
-    mov eax, 3
-    mov ebx, [sum]
-    int 0x80
-    mov eax, 1
-    mov ebx, 0
-    int 0x80
-`
-	for i := 0; i < 40; i++ {
-		src += "fn" + itoa(i) + ":\n    add dword [sum], " + itoa(i+1) + "\n    ret\n"
-	}
-	src += ".org 0x9000\nsum: .word 0\n"
-	img := image.MustAssemble("t", src)
-
-	native := machine.New(machine.PentiumIV())
-	img.Boot(native)
-	if err := native.Run(0); err != nil {
-		t.Fatal(err)
-	}
-
-	m := machine.New(machine.PentiumIV())
-	opts := core.Default()
-	opts.CacheSize = 2048 // far smaller than the program's footprint
-	r := core.New(m, img, opts, nil)
-	if err := r.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if m.OutputString() != native.OutputString() {
-		t.Errorf("output %q != native %q", m.OutputString(), native.OutputString())
-	}
-	if r.Stats.CacheFlushes == 0 {
-		t.Error("no cache flushes despite tiny cache")
-	}
-	if r.Stats.FragmentsDeleted == 0 {
-		t.Error("flushes should deliver deletion events")
-	}
-	t.Logf("flushes=%d blocksBuilt=%d deleted=%d",
-		r.Stats.CacheFlushes, r.Stats.BlocksBuilt, r.Stats.FragmentsDeleted)
-}
-
-func TestCacheTooSmallForOneFragmentRecovers(t *testing.T) {
-	// A fragment that cannot fit the cache even after a flush used to be a
-	// fatal allocator panic, then a one-way detach; with transactional
-	// recovery the failed emit rolls back, the oversized tag is retried in a
-	// native window, and the thread finishes without ever detaching.
-	img := image.MustAssemble("t", "main:\n"+strings.Repeat("    add eax, 0x12345678\n", 60)+" hlt\n")
-	m := machine.New(machine.PentiumIV())
-	opts := core.Default()
-	opts.CacheSize = 64
-	r := core.New(m, img, opts, nil)
-	if err := r.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.Recoveries == 0 {
-		t.Error("fragment larger than the cache should trigger a recovery")
-	}
-	if r.Stats.NativeWindows == 0 {
-		t.Error("the oversized tag should run in a native window")
-	}
-	if r.Stats.Detaches != 0 {
-		t.Errorf("Detaches = %d, want 0: a rollback-clean failure must not detach",
-			r.Stats.Detaches)
-	}
-	if !m.Threads[0].Halted {
-		t.Error("thread should still run to completion natively")
-	}
-	if ctx := r.ContextOf(m.Threads[0]); ctx == nil || ctx.Detached() {
-		t.Error("context should stay attached")
-	}
-}

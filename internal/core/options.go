@@ -90,19 +90,14 @@ type Options struct {
 	// discards the pushed flags word.
 	FlagsElision bool
 
-	// CacheSize caps each thread's basic-block cache and trace cache, in
-	// bytes (0 = the 2 MiB default, effectively the paper's "unlimited
-	// cache space" for these workloads). When a cache fills, the runtime
-	// flushes it and rebuilds from scratch — the coarse policy early
-	// Dynamo-family systems used.
-	CacheSize int
-
 	// BBCacheSize and TraceCacheSize give the basic-block and trace caches
 	// individual byte budgets managed by FIFO eviction (Section 6): when a
-	// bounded cache fills, the oldest fragments are evicted one at a time
-	// and their space reused, instead of the wholesale CacheSize flush.
-	// 0 leaves the cache unbounded. Ignored under SharedCache, where
-	// another thread may be executing the eviction victim.
+	// cache fills, the oldest fragments are evicted one at a time and their
+	// space reused. 0 means the whole 2 MiB per-thread address reservation,
+	// effectively the paper's "unlimited cache space" for these workloads.
+	// Under SharedCache, where another thread may be executing the
+	// eviction victim, nothing is evicted: a full cache grows instead, up
+	// to the reservation.
 	BBCacheSize    int
 	TraceCacheSize int
 

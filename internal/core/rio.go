@@ -24,7 +24,6 @@ type Stats struct {
 	CleanCalls       uint64
 	Replacements     uint64
 	FragmentsDeleted uint64
-	CacheFlushes     uint64
 	StaleFragments   uint64
 	TraceHeadBumps   uint64
 	EmulatedInstrs   uint64
@@ -83,10 +82,10 @@ type Stats struct {
 	// Anomalies counts pathology-watchdog detections (Options.Watchdog).
 	Anomalies uint64
 
-	// Live-fragment byte gauges. The authoritative per-thread gauges live
-	// on each Context; StatsSnapshot aggregates them across threads at
-	// snapshot time. These fields are only populated in snapshots — in
-	// the RIO's own Stats they stay zero.
+	// Live-fragment byte gauges. The authoritative gauges live on each
+	// cache region; StatsSnapshot sums them across regions at snapshot
+	// time. These fields are only populated in snapshots — in the RIO's
+	// own Stats they stay zero.
 	BBCacheLiveBytes    uint64
 	TraceCacheLiveBytes uint64
 }
@@ -139,7 +138,7 @@ type RIO struct {
 	// Transactional-recovery state (see recover.go): the undo/repair log
 	// of in-flight cache mutations, the dispatch/recovery nesting flags
 	// that gate chaos injection, and a suppression counter for wholesale
-	// operations that have no incremental repair (flushForReuse).
+	// operations that have no incremental repair (reclaimDetached).
 	txnLog        []func()
 	inDispatch    int
 	inRecovery    bool
@@ -147,9 +146,10 @@ type RIO struct {
 
 	cleanCalls []func(*Context)
 
-	// sharedFrags backs every context's fragment map in the SharedCache
-	// ablation.
-	sharedFrags map[machine.Addr]*Fragment
+	// sharedFrags, sharedBB and sharedTrace back every context's fragment
+	// map and cache regions in the SharedCache ablation.
+	sharedFrags           map[machine.Addr]*Fragment
+	sharedBB, sharedTrace *cacheRegion
 
 	// exiting guards against double exit-event delivery.
 	exited bool
@@ -207,6 +207,8 @@ func New(m *machine.Machine, img *image.Image, opts Options, out io.Writer, clie
 	}
 	if opts.SharedCache {
 		r.sharedFrags = map[machine.Addr]*Fragment{}
+		r.sharedBB = newRegion(KindBasicBlock, bbCacheBase, opts.BBCacheSize)
+		r.sharedTrace = newRegion(KindTrace, traceCacheBase, opts.TraceCacheSize)
 	}
 	r.initSpans()
 	if opts.Watchdog {
@@ -280,17 +282,13 @@ func (r *RIO) setupThread(t *machine.Thread, startTag machine.Addr) {
 	slot := machine.Addr(t.ID)
 	if r.Opts.SharedCache {
 		slot = 0
-		ctx.frags = r.sharedFrags
+		ctx.frags, ctx.bb, ctx.trace = r.sharedFrags, r.sharedBB, r.sharedTrace
 	} else {
 		ctx.frags = map[machine.Addr]*Fragment{}
-	}
-	size := cacheStride
-	if r.Opts.CacheSize > 0 && machine.Addr(r.Opts.CacheSize) < cacheStride {
-		size = machine.Addr(r.Opts.CacheSize)
+		ctx.bb = newRegion(KindBasicBlock, bbCacheBase+slot*cacheStride, r.Opts.BBCacheSize)
+		ctx.trace = newRegion(KindTrace, traceCacheBase+slot*cacheStride, r.Opts.TraceCacheSize)
 	}
 	ctx.tls = tlsBase + machine.Addr(t.ID)*tlsStride // TLS is always private
-	ctx.bb = newRegion(KindBasicBlock, bbCacheBase+slot*cacheStride, size, r.Opts.BBCacheSize, r.Opts.SharedCache)
-	ctx.trace = newRegion(KindTrace, traceCacheBase+slot*cacheStride, size, r.Opts.TraceCacheSize, r.Opts.SharedCache)
 	ctx.tableBase = tlsBase + slot*tlsStride + offIBLTable
 	ctx.tableBits = r.Opts.IBLTableBits
 	ctx.tableMask = 1<<ctx.tableBits - 1

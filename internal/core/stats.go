@@ -1,6 +1,9 @@
 package core
 
-import "sync/atomic"
+import (
+	"reflect"
+	"sync/atomic"
+)
 
 // Stats concurrency protocol. The runtime itself is single-goroutine (the
 // machine steps all simulated threads round-robin), but harnesses read
@@ -8,7 +11,7 @@ import "sync/atomic"
 // parallel sweep collecting results. Every write to a Stats counter
 // therefore goes through statInc/statAdd (atomic adds), and concurrent
 // readers use StatsSnapshot, which atomically loads each counter and
-// aggregates the live-byte gauges across all thread contexts. Reading
+// aggregates the live-byte gauges across all cache regions. Reading
 // r.Stats fields directly remains fine once the run has finished.
 
 // statInc atomically increments one Stats counter.
@@ -29,50 +32,26 @@ func statMax(p *uint64, v uint64) {
 }
 
 // StatsSnapshot returns a consistent copy of the runtime's counters, safe
-// to call concurrently with running threads. The live-byte gauges are
-// aggregated across every thread's cache regions at snapshot time — the
-// per-context gauges are authoritative, so multi-thread runs report true
-// totals instead of the last writer's value.
+// to call concurrently with running threads: every Stats field is loaded
+// atomically (reflection keeps the copy complete as counters are added; the
+// snapshot is not on a hot path). The live-byte gauges are then summed over
+// the cache regions at snapshot time, counting a region shared by several
+// threads (SharedCache) once.
 func (r *RIO) StatsSnapshot() Stats {
-	s := Stats{
-		ContextSwitches:       atomic.LoadUint64(&r.Stats.ContextSwitches),
-		BlocksBuilt:           atomic.LoadUint64(&r.Stats.BlocksBuilt),
-		TracesBuilt:           atomic.LoadUint64(&r.Stats.TracesBuilt),
-		Links:                 atomic.LoadUint64(&r.Stats.Links),
-		Unlinks:               atomic.LoadUint64(&r.Stats.Unlinks),
-		IBLMisses:             atomic.LoadUint64(&r.Stats.IBLMisses),
-		CleanCalls:            atomic.LoadUint64(&r.Stats.CleanCalls),
-		Replacements:          atomic.LoadUint64(&r.Stats.Replacements),
-		FragmentsDeleted:      atomic.LoadUint64(&r.Stats.FragmentsDeleted),
-		FragmentsDeletedBB:    atomic.LoadUint64(&r.Stats.FragmentsDeletedBB),
-		FragmentsDeletedTrace: atomic.LoadUint64(&r.Stats.FragmentsDeletedTrace),
-		CacheFlushes:          atomic.LoadUint64(&r.Stats.CacheFlushes),
-		StaleFragments:        atomic.LoadUint64(&r.Stats.StaleFragments),
-		TraceHeadBumps:        atomic.LoadUint64(&r.Stats.TraceHeadBumps),
-		EmulatedInstrs:        atomic.LoadUint64(&r.Stats.EmulatedInstrs),
-		Evictions:             atomic.LoadUint64(&r.Stats.Evictions),
-		Regenerations:         atomic.LoadUint64(&r.Stats.Regenerations),
-		CacheResizes:          atomic.LoadUint64(&r.Stats.CacheResizes),
-		IBLCollisions:         atomic.LoadUint64(&r.Stats.IBLCollisions),
-		IBLMaxProbe:           atomic.LoadUint64(&r.Stats.IBLMaxProbe),
-		IBLReplaced:           atomic.LoadUint64(&r.Stats.IBLReplaced),
-		IBLResizes:            atomic.LoadUint64(&r.Stats.IBLResizes),
-		FlagsElisions:         atomic.LoadUint64(&r.Stats.FlagsElisions),
-		InlineChecksElided:    atomic.LoadUint64(&r.Stats.InlineChecksElided),
-		FaultsTranslated:      atomic.LoadUint64(&r.Stats.FaultsTranslated),
-		Detaches:              atomic.LoadUint64(&r.Stats.Detaches),
-		Recoveries:            atomic.LoadUint64(&r.Stats.Recoveries),
-		RecoveryAuditFailures: atomic.LoadUint64(&r.Stats.RecoveryAuditFailures),
-		Quarantined:           atomic.LoadUint64(&r.Stats.Quarantined),
-		NativeWindows:         atomic.LoadUint64(&r.Stats.NativeWindows),
-		Reattaches:            atomic.LoadUint64(&r.Stats.Reattaches),
-		DegradeLevel:          atomic.LoadUint64(&r.Stats.DegradeLevel),
-		Anomalies:             atomic.LoadUint64(&r.Stats.Anomalies),
+	var s Stats
+	src, dst := reflect.ValueOf(&r.Stats).Elem(), reflect.ValueOf(&s).Elem()
+	for i := range dst.NumField() {
+		dst.Field(i).SetUint(atomic.LoadUint64(src.Field(i).Addr().Interface().(*uint64)))
 	}
 	r.ctxMu.RLock()
+	seen := map[*cacheRegion]bool{}
 	for _, ctx := range r.contexts {
-		s.BBCacheLiveBytes += uint64(ctx.liveBB.Load())
-		s.TraceCacheLiveBytes += uint64(ctx.liveTrace.Load())
+		if seen[ctx.bb] {
+			continue // the shared pair, already counted
+		}
+		seen[ctx.bb] = true
+		s.BBCacheLiveBytes += uint64(ctx.bb.liveBytes.Load())
+		s.TraceCacheLiveBytes += uint64(ctx.trace.liveBytes.Load())
 	}
 	r.ctxMu.RUnlock()
 	return s

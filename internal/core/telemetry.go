@@ -115,19 +115,9 @@ func (r *RIO) spanCacheCounter(ctx *Context) {
 		return
 	}
 	r.spans.Counter(r.spanPid, ctx.thread.ID, "cache-bytes", r.M.Now(), map[string]any{
-		"bb":    regionLiveBytes(&ctx.bb),
-		"trace": regionLiveBytes(&ctx.trace),
+		"bb":    ctx.bb.liveBytes.Load(),
+		"trace": ctx.trace.liveBytes.Load(),
 	})
-}
-
-// regionLiveBytes is the counter-track sample for one cache region: the
-// live-byte accounting where eviction maintains it, the bump-allocator
-// occupancy for unbounded regions (which never free individually).
-func regionLiveBytes(reg *cacheRegion) int64 {
-	if reg.bounded {
-		return int64(reg.liveBytes)
-	}
-	return int64(reg.next - reg.base)
 }
 
 // noteWindowEnd observes the length of a just-finished native cool-down

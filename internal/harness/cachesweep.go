@@ -12,7 +12,7 @@ import (
 // CachePoint is one column of the cache-size sweep: a bounded-cache
 // configuration applied on top of the base runtime options. Bytes is the
 // per-thread budget for both the basic-block and the trace cache; 0 means
-// unbounded (the legacy flush-on-full allocator).
+// unbounded (the whole 2 MiB per-thread reservation, which never evicts).
 type CachePoint struct {
 	Name     string
 	Bytes    int
