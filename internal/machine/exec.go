@@ -300,6 +300,7 @@ func (m *Machine) resolve(ci *cachedInst, pc Addr) {
 		}
 	case ia32.OpInt:
 		ci.cc = uint8(in.Srcs[0].Imm)
+		ci.stop = true
 	default:
 		if cc, ok := ia32.SetCondCode(in.Op); ok {
 			ci.cc = cc

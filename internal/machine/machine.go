@@ -158,7 +158,7 @@ type Machine struct {
 	watchHook       func(t *Thread)
 	injections      []*faultInjection
 
-	icache  []icEntry // direct-mapped decoded-instruction cache
+	icache  *[1 << icacheBits]icEntry // direct-mapped decoded-instruction cache
 	nextTID int
 
 	// phaseState is the phase-accounting and fragment-profiling state
@@ -166,7 +166,10 @@ type Machine struct {
 	phaseState
 }
 
-const icacheBits = 17
+const (
+	icacheBits = 17
+	icacheMask = 1<<icacheBits - 1
+)
 
 type icEntry struct {
 	pc Addr
@@ -187,7 +190,13 @@ type Stats struct {
 	IndMispred    uint64
 	Syscalls      uint64
 	SignalsTaken  uint64
-	DecodeMisses  uint64
+	// DecodeMisses counts decodes the decoded-instruction cache could not
+	// serve. Run follows a successor link (see run.go) only while its
+	// target still holds its cache slot; a link whose target lost the slot
+	// to a direct-mapped conflict goes through decode and counts a miss,
+	// as Step would. The count is therefore the same whichever path
+	// executed an instruction.
+	DecodeMisses uint64
 
 	// Faults counts delivered synchronous faults; SignalsDropped counts
 	// queued asynchronous signals a thread halted without receiving (they
@@ -203,9 +212,15 @@ type Stats struct {
 // entry to the write generations of the 256-byte chunk(s) the instruction
 // bytes occupy; they are what keeps fused dispatch correct under
 // self-modifying code (fragment replacement, InvalidateRange).
+//
+// succ links the entry to the decode of its fall-through instruction when
+// that instruction starts in the same chunk and does not span two; the run
+// loop (run.go) follows it after checking succ.gen against the chunk's
+// current generation and that succ still holds its cache slot.
 type cachedInst struct {
 	inst   ia32.Inst
 	fn     execThunk
+	succ   *cachedInst
 	next   Addr   // EIP after fall-through (entry pc + inst.Len)
 	target Addr   // direct CTI target; ret: imm16 stack adjustment
 	cost   Ticks  // profile base cost of the opcode
@@ -217,6 +232,7 @@ type cachedInst struct {
 	r1     uint8  // register-file indices for specialized register thunks
 	r2     uint8
 	twoP   bool
+	stop   bool // int: a system call may change what a run assumes
 }
 
 // New returns a machine with the given cost profile and one initial thread.
@@ -226,7 +242,7 @@ func New(p *Profile) *Machine {
 		Profile:  p,
 		traps:    map[Addr]TrapFunc{},
 		nextTrap: TrapBase,
-		icache:   make([]icEntry, 1<<icacheBits),
+		icache:   new([1 << icacheBits]icEntry),
 	}
 	m.NewThread()
 	return m
@@ -309,15 +325,11 @@ func (m *Machine) Charge(t Ticks) {
 // charges the clock.
 func (m *Machine) Now() uint64 { return uint64(m.Ticks) }
 
-// InvalidateICache drops all cached decodes (used sparingly; per-page
-// generations catch ordinary code modification automatically).
-func (m *Machine) InvalidateICache() { m.icache = make([]icEntry, 1<<icacheBits) }
-
 // decode returns the decoded instruction at pc, consulting the decode cache
 // and validating it against the write generations of the 256-byte chunk(s)
 // the instruction occupies (see Memory.SubGen).
 func (m *Machine) decode(pc Addr) (*cachedInst, error) {
-	e := &m.icache[pc&(1<<icacheBits-1)]
+	e := &m.icache[pc&icacheMask]
 	if e.pc == pc && e.ci != nil {
 		ci := e.ci
 		if m.Mem.SubGen(pc) == ci.gen &&
@@ -339,6 +351,11 @@ func (m *Machine) decode(pc Addr) (*cachedInst, error) {
 		ci.gen2 = m.Mem.SubGen(end)
 	}
 	m.resolve(ci, pc)
+	if e.ci != nil {
+		// Unlink the evicted entry so a chain of links never keeps
+		// displaced decodes alive (see run.go).
+		e.ci.succ = nil
+	}
 	e.pc, e.ci = pc, ci
 	return ci, nil
 }
@@ -450,46 +467,6 @@ func (m *Machine) deliverSignal(t *Thread) {
 	t.CPU.R[ia32.ESP.Enc()] -= 4
 	m.Mem.Write32(t.CPU.R[ia32.ESP.Enc()], t.CPU.EIP)
 	t.CPU.EIP = h
-}
-
-// Run executes threads round-robin (quantum instructions each) until all
-// have halted or limit instructions have been executed in total. A limit of
-// 0 means no limit. It returns ErrLimit if the limit stopped execution.
-func (m *Machine) Run(limit uint64) error {
-	const quantum = 5000
-	executed := uint64(0)
-	for {
-		live := 0
-		for _, t := range m.Threads {
-			if t.Halted {
-				continue
-			}
-			live++
-			// Hoist the limit check out of the per-instruction loop by
-			// shrinking this quantum to whatever budget remains.
-			q := uint64(quantum)
-			if limit > 0 {
-				if executed >= limit {
-					return ErrLimit
-				}
-				if rem := limit - executed; rem < q {
-					q = rem
-				}
-			}
-			for ; q > 0; q-- {
-				if err := m.Step(t); err != nil {
-					return err
-				}
-				executed++
-				if t.Halted {
-					break
-				}
-			}
-		}
-		if live == 0 {
-			return nil
-		}
-	}
 }
 
 // OutputString returns the program's collected output.

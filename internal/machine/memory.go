@@ -295,6 +295,12 @@ func (m *Memory) SubGen(a Addr) uint32 {
 	return 0
 }
 
+// subGenRef returns the counter SubGen(a) reads, allocating the page. Pages
+// are never freed, so a holder sees every later write to the chunk.
+func (m *Memory) subGenRef(a Addr) *uint32 {
+	return &m.pageFor(a).sub[a&(pageSize-1)>>chunkShift]
+}
+
 // Digest returns an FNV-1a checksum of the address range [lo, hi), covering
 // every allocated page that overlaps it (untouched pages read as zero and
 // are skipped, along with allocated pages whose overlap is all zero — so the
